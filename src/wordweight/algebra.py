@@ -17,19 +17,9 @@ from typing import Iterable, Mapping
 
 import mpmath
 
-from .errors import (
-    ConstraintViolation,
-    IndexTooSmall,
-    PreconditionViolated,
-    UnknownLength,
-)
+from .errors import IndexTooSmall, PreconditionViolated, UnknownLength
 from .genset import GenSetParams, normalize_conjugator, expand_generator
-from .lengths import (
-    SearchBudget,
-    check_chain_constraint,
-    family_length,
-    xlength,
-)
+from .lengths import SearchBudget, _check_chain, family_length, xlength
 from .words import IDENTITY, Word
 
 
@@ -388,8 +378,9 @@ def _expsum_product(x: ExpSum, y: ExpSum) -> ExpSum:
     )
 
 
-def omega_norm(f: WeightedVector) -> ExpSum:
-    """Sum of |coefficient| * e^|word| over the support, exactly."""
+def _weighted_sum(f: WeightedVector, signed: bool, what: str) -> ExpSum:
+    """Sum of coefficient * e^|word| over the support, with |coefficient|
+    unless ``signed``; UnknownLength names every word without a length."""
     total = ExpSum()
     unknown = []
     for w in f.support:
@@ -398,32 +389,24 @@ def omega_norm(f: WeightedVector) -> ExpSum:
         except UnknownLength:
             unknown.append(w)
             continue
-        total = total + abs(f.entries[w]).shifted(length)
+        coeff = f.entries[w]
+        total = total + (coeff if signed else abs(coeff)).shifted(length)
     if unknown:
         raise UnknownLength(
-            "norm needs lengths for: " + ", ".join(str(w) or "1" for w in unknown),
+            f"{what} needs lengths for: " + ", ".join(str(w) or "1" for w in unknown),
             words=unknown,
         )
     return total
+
+
+def omega_norm(f: WeightedVector) -> ExpSum:
+    """Sum of |coefficient| * e^|word| over the support, exactly."""
+    return _weighted_sum(f, signed=False, what="norm")
 
 
 def pair_omega(f: WeightedVector) -> ExpSum:
     """Signed pairing against the weight functional: sum of f(t) * e^|t|."""
-    total = ExpSum()
-    unknown = []
-    for w in f.support:
-        try:
-            length = f.provider.length(w)
-        except UnknownLength:
-            unknown.append(w)
-            continue
-        total = total + f.entries[w].shifted(length)
-    if unknown:
-        raise UnknownLength(
-            "pairing needs lengths for: " + ", ".join(str(w) or "1" for w in unknown),
-            words=unknown,
-        )
-    return total
+    return _weighted_sum(f, signed=True, what="pairing")
 
 
 # --- decay bounds for sandwiched products --------------------------------------
@@ -526,14 +509,7 @@ def chain_product(
     """
     params = provider.params
     _require_canonical(params)
-    if not blocks:
-        raise ValueError("empty block list")
-    for n, k in blocks:
-        if n < params.jmin:
-            raise IndexTooSmall(f"index {n} below jmin={params.jmin}")
-        if k < 1:
-            raise ValueError("every separator power must be >= 1")
-    check_chain_constraint(blocks, params)
+    _check_chain(blocks, params)
     result = WeightedVector.point_mass(provider, IDENTITY)
     for n, k in blocks:
         result = convolve(result, normalized_point_mass(block_word(n, params), provider))

@@ -111,8 +111,12 @@ def build_run_config(args, default_mode: str) -> RunConfig:
     if mode not in ("exact", "bracket", "family"):
         raise ValueError(f"unknown mode {mode!r}")
     max_nodes = _coerce_int(pick(args.max_nodes, "max_nodes", 500_000), "max_nodes")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     max_ms = pick(args.max_ms, "max_ms", None)
     max_ms = float(max_ms) if max_ms is not None else None
+    if max_ms is not None and not max_ms > 0:
+        raise ValueError(f"max_ms must be > 0, got {max_ms}")
     fmt = pick(args.format, "format", "json")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -213,38 +217,49 @@ def cmd_xlen(args) -> int:
     return 3 if result.budget_exhausted else 0
 
 
-def _block_rows(cfg: RunConfig, ns, ks, with_oracle: bool) -> list[dict]:
-    rows = []
+def _family_row(
+    cfg: RunConfig, row: dict, witness, target: Word, expected: int, with_oracle: bool
+) -> dict:
+    """Fill a verify-family row: re-multiplied witness, expected symbol
+    count, certificate bound and, on request, the exact-search oracle."""
     params = cfg.params
-    for n in ns:
-        for k in ks:
-            witness = block_witness(n, k, params)
-            product, count = verify_factorization(witness, params)
-            target = Word.from_runs(
+    product, count = verify_factorization(witness, params)
+    cert_lower, _ = best_certificate_bound(target, params)
+    row.update(
+        target=str(target),
+        witness_count=count,
+        expected_count=expected,
+        product_ok=product == target,
+        certificate_lower=cert_lower,
+    )
+    ok = row["product_ok"] and cert_lower <= count == expected
+    if with_oracle:
+        oracle = xlength(target, params, budget=cfg.budget, mode="exact")
+        row["oracle_value"] = oracle.lower if oracle.exact else None
+        row["oracle_exact"] = oracle.exact
+        if oracle.exact:
+            ok = ok and cert_lower <= oracle.lower <= count
+    row["sandwich_ok"] = ok
+    return row
+
+
+def _block_rows(cfg: RunConfig, ns, ks, with_oracle: bool) -> list[dict]:
+    params = cfg.params
+    return [
+        _family_row(
+            cfg,
+            {"family": "block", "n": n, "k": k},
+            block_witness(n, k, params),
+            Word.from_runs(
                 ([("c", k)] if k else [])
                 + [("a", params.outer_exp(n)), ("b", params.outer_exp(n))]
-            )
-            cert_lower, _ = best_certificate_bound(target, params)
-            row = {
-                "family": "block",
-                "n": n,
-                "k": k,
-                "target": str(target),
-                "witness_count": count,
-                "expected_count": k + params.inner_exp(n) + 1,
-                "product_ok": product == target,
-                "certificate_lower": cert_lower,
-            }
-            ok = row["product_ok"] and cert_lower <= count == row["expected_count"]
-            if with_oracle:
-                oracle = xlength(target, params, budget=cfg.budget, mode="exact")
-                row["oracle_value"] = oracle.lower if oracle.exact else None
-                row["oracle_exact"] = oracle.exact
-                if oracle.exact:
-                    ok = ok and cert_lower <= oracle.lower <= count
-            row["sandwich_ok"] = ok
-            rows.append(row)
-    return rows
+            ),
+            k + params.inner_exp(n) + 1,
+            with_oracle,
+        )
+        for n in ns
+        for k in ks
+    ]
 
 
 def _minimal_chain_blocks(r: int, n: int, params: GenSetParams) -> list[tuple[int, int]]:
@@ -255,34 +270,18 @@ def _minimal_chain_blocks(r: int, n: int, params: GenSetParams) -> list[tuple[in
 
 
 def _chain_rows(cfg: RunConfig, specs, with_oracle: bool) -> list[dict]:
-    rows = []
     params = cfg.params
-    for blocks in specs:
-        witness = chain_witness(blocks, params)
-        product, count = verify_factorization(witness, params)
-        target = chain_word(blocks, params)
-        cert_lower, _ = best_certificate_bound(target, params)
-        expected = sum(params.inner_exp(n) + 1 + k for n, k in blocks)
-        row = {
-            "family": "chain",
-            "blocks": [list(b) for b in blocks],
-            "r": len(blocks),
-            "target": str(target),
-            "witness_count": count,
-            "expected_count": expected,
-            "product_ok": product == target,
-            "certificate_lower": cert_lower,
-        }
-        ok = row["product_ok"] and cert_lower <= count == expected
-        if with_oracle:
-            oracle = xlength(target, params, budget=cfg.budget, mode="exact")
-            row["oracle_value"] = oracle.lower if oracle.exact else None
-            row["oracle_exact"] = oracle.exact
-            if oracle.exact:
-                ok = ok and cert_lower <= oracle.lower <= count
-        row["sandwich_ok"] = ok
-        rows.append(row)
-    return rows
+    return [
+        _family_row(
+            cfg,
+            {"family": "chain", "blocks": [list(b) for b in blocks], "r": len(blocks)},
+            chain_witness(blocks, params),
+            chain_word(blocks, params),
+            sum(params.inner_exp(n) + 1 + k for n, k in blocks),
+            with_oracle,
+        )
+        for blocks in specs
+    ]
 
 
 def cmd_verify_family(args) -> int:

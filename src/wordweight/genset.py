@@ -75,6 +75,14 @@ Gen = Union[LetterGen, BigGen]
 LETTER_GENS = tuple(LetterGen(l) for l in LETTERS)
 
 
+def _check_index(j: int, params: GenSetParams) -> None:
+    """Raise unless j is a generator index of the set: jmin <= j <= jmax_cap."""
+    if j < params.jmin:
+        raise IndexTooSmall(f"index {j} below jmin={params.jmin}")
+    if params.jmax_cap is not None and j > params.jmax_cap:
+        raise ValueError(f"index {j} above jmax_cap={params.jmax_cap}")
+
+
 def normalize_conjugator(v: Word, j: int, params: GenSetParams) -> BigGen:
     """Strip any trailing b-power from v; the generator is unchanged.
 
@@ -176,10 +184,7 @@ def enumerate_generators(
     guards against any residual duplicates. With ``complete=True``, raises
     BudgetExhausted if the family does not fit within ``max_count``.
     """
-    if j < params.jmin:
-        raise IndexTooSmall(f"index {j} below jmin={params.jmin}")
-    if params.jmax_cap is not None and j > params.jmax_cap:
-        raise ValueError(f"index {j} above jmax_cap={params.jmax_cap}")
+    _check_index(j, params)
     seen: set[Word] = set()
     yielded = 0
     for length in range(params.conjugator_bound(j) + 1):

@@ -19,7 +19,6 @@ from functools import lru_cache
 from .errors import (
     BudgetExhausted,
     ConstraintViolation,
-    IndexTooSmall,
     InvalidCertificate,
     UnknownLength,
 )
@@ -27,15 +26,12 @@ from .genset import (
     BigGen,
     Gen,
     GenSetParams,
-    LETTER_GENS,
     LetterGen,
-    enumerate_generators,
+    _check_index,
     expand_generator,
-    max_usable_index,
     normalize_conjugator,
-    theta_value,
 )
-from .words import IDENTITY, Letter, Word
+from .words import IDENTITY, Letter, Word, hom_value
 
 C_POS = LetterGen(Letter("c", 1))
 B_NEG = LetterGen(Letter("b", -1))
@@ -90,13 +86,10 @@ def eval_certificate(cert: Certificate, u: Word, params: GenSetParams) -> int:
     n >= value(u)/cap, respectively n >= -value(u)/cap.
     """
     cap = certificate_cap(cert, params)
-    na, nb, nc = u.abelianize()
-    value = cert.coeffs[0] * na + cert.coeffs[1] * nb + cert.coeffs[2] * nc
+    value = hom_value(cert.coeffs, u)
     if cert.direction is Direction.LOWER:
         value = -value
-    if value <= 0:
-        return 0
-    return -(-value // cap)
+    return max(0, -(-value // cap))
 
 
 def _gcd3(a: int, b: int, c: int) -> int:
@@ -152,26 +145,38 @@ def certified_power_collapse(
     return cert
 
 
+@lru_cache(maxsize=None)
+def _pool_rows(base: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``certificate_pool(base)`` as (ca, cb, cc, cap) rows, with LOWER
+    certificates negated so that every row bounds by ceil(value / cap)."""
+    rows = []
+    for cert in certificate_pool(base):
+        sign = -1 if cert.direction is Direction.LOWER else 1
+        ca, cb, cc = (sign * c for c in cert.coeffs)
+        rows.append((ca, cb, cc, max(abs(ca), abs(cb), abs(cc))))
+    return tuple(rows)
+
+
+def pool_bound(ab: tuple[int, int, int], base: int) -> tuple[int, int | None]:
+    """Best pool bound on an abelianization and the pool index of the
+    first certificate reaching it (None when the bound is 0)."""
+    na, nb, nc = ab
+    best = 0
+    first = None
+    for i, (ca, cb, cc, cap) in enumerate(_pool_rows(base)):
+        value = ca * na + cb * nb + cc * nc
+        if value > best * cap:  # i.e. ceil(value / cap) > best
+            best = -(-value // cap)
+            first = i
+    return best, first
+
+
 def best_certificate_bound(
     u: Word, params: GenSetParams
 ) -> tuple[int, Certificate | None]:
     """Best pool bound; ties resolved toward lexicographically-first coeffs."""
-    na, nb, nc = u.abelianize()
-    best = 0
-    best_cert: Certificate | None = None
-    for cert in certificate_pool(params.base):
-        ca, cb, cc = cert.coeffs
-        value = ca * na + cb * nb + cc * nc
-        if cert.direction is Direction.LOWER:
-            value = -value
-        if value <= 0:
-            continue
-        cap = max(abs(ca), abs(cb), abs(cc))
-        bound = -(-value // cap)
-        if bound > best:
-            best = bound
-            best_cert = cert
-    return best, best_cert
+    best, first = pool_bound(u.abelianize(), params.base)
+    return best, None if first is None else certificate_pool(params.base)[first]
 
 
 # --- factorizations and witnesses -------------------------------------------
@@ -229,25 +234,31 @@ def letters_factorization(u: Word) -> Factorization:
     return Factorization(tuple(items))
 
 
-def block_witness(n: int, k: int, params: GenSetParams) -> Factorization:
-    """Witness for c^k a^(B^(2n)) b^(B^(2n)): k letters c, then B^(2n-1)
-    letters b^-1, then the identity-conjugator index-n generator."""
-    if n < params.jmin:
-        raise IndexTooSmall(f"index {n} below jmin={params.jmin}")
-    if params.jmax_cap is not None and n > params.jmax_cap:
-        raise ValueError(f"index {n} above jmax_cap={params.jmax_cap}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    items: list[tuple[Gen, int]] = []
-    if k:
-        items.append((C_POS, k))
-    items.append((B_NEG, params.inner_exp(n)))
-    items.append((BigGen(IDENTITY, n), 1))
+def _blocks_factorization(
+    k0: int, blocks: list[tuple[int, int]], params: GenSetParams
+) -> Factorization:
+    """The witness c^(k0) [b^(-B^(2n-1)) x(1, n) c^(k)]* for the word
+    c^(k0) [a^(B^(2n)) b^(B^(2n)) c^(k)]* with blocks (n, k)."""
+    items: list[tuple[Gen, int]] = [(C_POS, k0)] if k0 else []
+    for n, k in blocks:
+        items.append((B_NEG, params.inner_exp(n)))
+        items.append((BigGen(IDENTITY, n), 1))
+        if k:
+            items.append((C_POS, k))
     return Factorization(tuple(items))
 
 
+def block_witness(n: int, k: int, params: GenSetParams) -> Factorization:
+    """Witness for c^k a^(B^(2n)) b^(B^(2n)): k letters c, then B^(2n-1)
+    letters b^-1, then the identity-conjugator index-n generator."""
+    _check_index(n, params)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _blocks_factorization(k, [(n, 0)], params)
+
+
 def check_chain_constraint(
-    blocks: list[tuple[int, int]], params: GenSetParams, cyclic: bool = False
+    blocks: list[tuple[int, int]], params: GenSetParams
 ) -> None:
     """Each separator power must exceed three times the next block's outer
     exponent; raises ConstraintViolation with the offending 1-based index."""
@@ -260,14 +271,18 @@ def check_chain_constraint(
                 f"3*B^(2*{n_i}) = {3 * params.outer_exp(n_i)}",
                 index=i + 1,
             )
-    if cyclic and blocks:
-        n_first = blocks[0][0]
-        k_last = blocks[-1][1]
-        if k_last <= 3 * params.outer_exp(n_first):
-            raise ConstraintViolation(
-                f"trailing separator {k_last} breaks cyclic admissibility",
-                index=1,
-            )
+
+
+def _check_chain(blocks: list[tuple[int, int]], params: GenSetParams) -> None:
+    """Raise unless blocks is a nonempty admissible chain: valid indices,
+    every separator power >= 1, and the separator constraint."""
+    if not blocks:
+        raise ValueError("empty block list")
+    for n, k in blocks:
+        _check_index(n, params)
+        if k < 1:
+            raise ValueError("every separator power must be >= 1")
+    check_chain_constraint(blocks, params)
 
 
 def chain_witness(
@@ -280,22 +295,8 @@ def chain_witness(
     with symbol count sum(B^(2n_i - 1) + 1) + sum(k_i). Requires every
     k_i >= 1 and the separator constraint between consecutive blocks.
     """
-    if not blocks:
-        raise ValueError("empty block list")
-    for n, k in blocks:
-        if n < params.jmin:
-            raise IndexTooSmall(f"index {n} below jmin={params.jmin}")
-        if params.jmax_cap is not None and n > params.jmax_cap:
-            raise ValueError(f"index {n} above jmax_cap={params.jmax_cap}")
-        if k < 1:
-            raise ValueError("every separator power must be >= 1")
-    check_chain_constraint(blocks, params)
-    items: list[tuple[Gen, int]] = []
-    for n, k in blocks:
-        items.append((B_NEG, params.inner_exp(n)))
-        items.append((BigGen(IDENTITY, n), 1))
-        items.append((C_POS, k))
-    return Factorization(tuple(items))
+    _check_chain(blocks, params)
+    return _blocks_factorization(0, blocks, params)
 
 
 def chain_word(blocks: list[tuple[int, int]], params: GenSetParams) -> Word:
@@ -367,18 +368,7 @@ def _scan_blocks(
 def shape_witness(u: Word, params: GenSetParams) -> Factorization | None:
     """Self-verifying upper-bound witness for block-shaped words, any base."""
     scan = _scan_blocks(u, params, allow_adjacent=True)
-    if scan is None:
-        return None
-    k0, blocks = scan
-    items: list[tuple[Gen, int]] = []
-    if k0:
-        items.append((C_POS, k0))
-    for n, k in blocks:
-        items.append((B_NEG, params.inner_exp(n)))
-        items.append((BigGen(IDENTITY, n), 1))
-        if k:
-            items.append((C_POS, k))
-    return Factorization(tuple(items))
+    return None if scan is None else _blocks_factorization(*scan, params)
 
 
 def family_length(
@@ -392,6 +382,8 @@ def family_length(
         canonical parameters (base 5, jmin 2) only;
       * chains of such blocks with every separator >= 1 satisfying the
         separator constraint, same parameters.
+
+    Each has length k0 + sum(5^(2n-1) + 1 + k) over its blocks (n, k).
     """
     if u.is_identity():
         return 0, Factorization()
@@ -404,21 +396,15 @@ def family_length(
     if scan is None:
         return None
     k0, blocks = scan
-    if len(blocks) == 1:
-        n, k1 = blocks[0]
-        length = k0 + params.inner_exp(n) + 1 + k1
-        witness = block_witness(n, k0, params)
-        if k1:
-            witness = Factorization(witness.items + ((C_POS, k1),))
-        return length, witness
-    if k0 != 0 or blocks[-1][1] < 1:
-        return None
-    try:
-        witness = chain_witness(blocks, params)
-    except ConstraintViolation:
-        return None
-    length = sum(params.inner_exp(n) + 1 + k for n, k in blocks)
-    return length, witness
+    if len(blocks) > 1:
+        if k0 != 0 or blocks[-1][1] < 1:
+            return None
+        try:
+            check_chain_constraint(blocks, params)
+        except ConstraintViolation:
+            return None
+    length = k0 + sum(params.inner_exp(n) + 1 + k for n, k in blocks)
+    return length, _blocks_factorization(k0, blocks, params)
 
 
 def single_biggen_cancellation(
@@ -556,8 +542,20 @@ def xlength(
     t0 = time.perf_counter()
     budget = budget or SearchBudget()
 
-    def elapsed_ms() -> float:
-        return (time.perf_counter() - t0) * 1000.0
+    def result(lower, upper, witness, method, exhaustive=False,
+               budget_exhausted=False, nodes=0) -> LengthResult:
+        return LengthResult(
+            lower=lower,
+            upper=upper,
+            witness=witness,
+            certificate=cert,
+            exact=lower == upper,
+            exhaustive=exhaustive,
+            budget_exhausted=budget_exhausted,
+            nodes_expanded=nodes,
+            ms=(time.perf_counter() - t0) * 1000.0,
+            method=method,
+        )
 
     if mode == "family":
         fam = family_length(u, params)
@@ -568,54 +566,23 @@ def xlength(
                 words=[u],
             )
         length, witness = fam
-        lower, cert = best_certificate_bound(u, params)
-        return LengthResult(
-            lower=length,
-            upper=length,
-            witness=witness,
-            certificate=cert,
-            exact=True,
-            exhaustive=False,
-            budget_exhausted=False,
-            nodes_expanded=0,
-            ms=elapsed_ms(),
-            method="family",
-        )
+        _, cert = best_certificate_bound(u, params)
+        return result(length, length, witness, "family")
 
     if mode not in ("bracket", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
 
     lower, cert, upper, witness = _bracket_parts(u, params)
     if lower == upper or mode == "bracket":
-        return LengthResult(
-            lower=lower,
-            upper=upper,
-            witness=witness,
-            certificate=cert,
-            exact=lower == upper,
-            exhaustive=False,
-            budget_exhausted=False,
-            nodes_expanded=0,
-            ms=elapsed_ms(),
-            method="collapse" if lower == upper else "bracket",
+        return result(
+            lower, upper, witness, "collapse" if lower == upper else "bracket"
         )
 
     # Exact mode: exhaustive search below the index cutoff.
     try:
         moves = _search.build_moves(u, upper, params, budget)
     except BudgetExhausted:
-        return LengthResult(
-            lower=lower,
-            upper=upper,
-            witness=witness,
-            certificate=cert,
-            exact=False,
-            exhaustive=False,
-            budget_exhausted=True,
-            nodes_expanded=0,
-            ms=elapsed_ms(),
-            method="budget",
-        )
+        return result(lower, upper, witness, "budget", budget_exhausted=True)
 
     heuristic = _search.make_heuristic(u, upper, params, moves)
     cap = upper if budget.max_cost is None else min(upper, budget.max_cost)
@@ -645,19 +612,16 @@ def xlength(
         product, count = verify_factorization(path_witness, params)
         if product != u or count != best.cost:
             raise ArithmeticError(f"search produced an invalid witness for {u!r}")
-        return LengthResult(
-            lower=best.cost,
-            upper=best.cost,
-            witness=path_witness,
-            certificate=cert,
-            exact=True,
+        return result(
+            best.cost,
+            best.cost,
+            path_witness,
+            "dual" if algorithm == "dual" else "search",
             exhaustive=True,
             # In dual mode, flag when the cross-check engine ran out of
             # budget even though the primary one completed.
             budget_exhausted=len(found) < len(outcomes),
-            nodes_expanded=nodes,
-            ms=elapsed_ms(),
-            method="dual" if algorithm == "dual" else "search",
+            nodes=nodes,
         )
 
     proven = max([lower] + [o.lower_bound for o in outcomes])
@@ -671,15 +635,6 @@ def xlength(
                 upper = count
                 witness = candidate
     proven = min(proven, upper)
-    return LengthResult(
-        lower=proven,
-        upper=upper,
-        witness=witness,
-        certificate=cert,
-        exact=proven == upper,
-        exhaustive=False,
-        budget_exhausted=True,
-        nodes_expanded=nodes,
-        ms=elapsed_ms(),
-        method="budget",
+    return result(
+        proven, upper, witness, "budget", budget_exhausted=True, nodes=nodes
     )

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import BudgetExhausted
 from .genset import (
     Gen,
     GenSetParams,
@@ -24,7 +23,7 @@ from .genset import (
     max_usable_index,
     theta_value,
 )
-from .lengths import Direction, SearchBudget, certificate_pool
+from .lengths import SearchBudget, pool_bound
 from .words import Word
 
 _INF = float("inf")
@@ -94,16 +93,7 @@ def make_heuristic(u: Word, upper_bound: int, params: GenSetParams, moves: MoveS
     and m expansions of at most E letters must spell all of r). With no
     indexed moves the letter count is the exact distance.
     """
-    pool = [
-        (
-            c.coeffs[0],
-            c.coeffs[1],
-            c.coeffs[2],
-            max(abs(x) for x in c.coeffs),
-            c.direction is Direction.LOWER,
-        )
-        for c in certificate_pool(params.base)
-    ]
+    base = params.base
     emax = moves.max_expansion
     big_theta = moves.min_theta
     has_big = moves.has_big
@@ -117,17 +107,9 @@ def make_heuristic(u: Word, upper_bound: int, params: GenSetParams, moves: MoveS
         if not has_big:
             cache[r] = slen
             return slen
-        na, nb, nc = r.abelianize()
-        best = 0
-        for ca, cb, cc, cap, is_lower in pool:
-            v = ca * na + cb * nb + cc * nc
-            if is_lower:
-                v = -v
-            if v > 0:
-                bound = -(-v // cap)
-                if bound > best:
-                    best = bound
-        theta = na + nb
+        ab = r.abelianize()
+        best = pool_bound(ab, base)[0]
+        theta = ab[0] + ab[1]
         struct = slen
         m = 1
         while True:

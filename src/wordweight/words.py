@@ -242,8 +242,6 @@ class AbelianVector(NamedTuple):
 Coeffs = tuple[int, int, int]
 
 # Letter-count homomorphisms to the integers, as coefficient triples.
-HOM_A: Coeffs = (1, 0, 0)
-HOM_B: Coeffs = (0, 1, 0)
 HOM_C: Coeffs = (0, 0, 1)
 HOM_AB: Coeffs = (1, 1, 0)  # counts a's and b's together
 HOM_B_MINUS_C: Coeffs = (0, 1, -1)

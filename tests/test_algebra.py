@@ -311,6 +311,11 @@ class TestChainProduct:
         with pytest.raises(ConstraintViolation):
             chain_product([(2, 100), (2, 1)], fam5)
 
+    def test_index_above_cap(self):
+        capped = WeightProvider(GenSetParams(5, 2, jmax_cap=2), mode="family")
+        with pytest.raises(ValueError, match="index 3 above jmax_cap=2"):
+            chain_product([(3, 1)], capped)
+
 
 class TestSpectralProbe:
     def test_normalized_c_mass_stays_at_one(self, fam5):

@@ -135,6 +135,26 @@ class TestRadicalDemo:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-nodes", "0"],
+            ["--max-nodes", "-5"],
+            ["--max-ms", "0"],
+            ["--max-ms", "-1"],
+        ],
+    )
+    def test_impossible_budget_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "xlen", *flags, "a^4 b^4")
+        assert code == 2 and not out and "error" in err
+
+    @pytest.mark.parametrize("line", ["max_nodes=0", "max_ms=0"])
+    def test_impossible_budget_in_config_exit_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "xlen", "--config", str(cfg), "a^4 b^4")
+        assert code == 2 and not out and "error" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("base=2\njmin=1\nmode=bracket\n")

@@ -2,6 +2,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordweight.errors import (
     ConstraintViolation,
@@ -9,7 +10,7 @@ from wordweight.errors import (
     InvalidCertificate,
     UnknownLength,
 )
-from wordweight.genset import BigGen, GenSetParams, expand_generator
+from wordweight.genset import BigGen, GenSetParams, expand_generator, theta_value
 from wordweight.lengths import (
     Certificate,
     Direction,
@@ -29,7 +30,7 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight.search import build_moves
+from wordweight.search import MoveSet, build_moves, make_heuristic
 from wordweight.words import IDENTITY, LETTERS, Word
 
 W = Word.parse
@@ -38,6 +39,37 @@ P2 = GenSetParams(base=2, jmin=1)
 
 PHI_C_UPPER = Certificate((0, 0, 1), Direction.UPPER)
 PSI_LOWER = Certificate((0, 1, -1), Direction.LOWER)
+
+
+# exponents reach past 5^4 so that base-5 certificates are not all tied
+reduced_words = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(-700, 700).filter(bool)),
+    max_size=6,
+).map(Word.from_runs)
+
+
+class TestPoolBound:
+    @settings(max_examples=150, deadline=None)
+    @given(reduced_words, st.sampled_from([P2, P5]))
+    def test_best_bound_is_first_pool_maximum(self, u, params):
+        pool = certificate_pool(params.base)
+        values = [eval_certificate(cert, u, params) for cert in pool]
+        bound, cert = best_certificate_bound(u, params)
+        assert bound == max(values)
+        assert cert == (pool[values.index(bound)] if bound else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduced_words, st.sampled_from([P2, P5]))
+    def test_heuristic_dominates_certificate_bound(self, u, params):
+        big = expand_generator(BigGen(IDENTITY, params.jmin), params)
+        moves = MoveSet(
+            moves=[],
+            max_expansion=big.s_length,
+            min_theta=theta_value(params.jmin, params),
+            has_big=True,
+        )
+        h = make_heuristic(u, u.s_length, params, moves)
+        assert h(u) >= best_certificate_bound(u, params)[0]
 
 
 class TestCertificates:
