@@ -21,9 +21,8 @@ from .genset import (
     enumerate_generators,
     expand_generator,
     max_usable_index,
-    theta_value,
 )
-from .lengths import SearchBudget, pool_bound
+from .lengths import SearchBudget
 from .words import Word
 
 _INF = float("inf")
@@ -40,8 +39,7 @@ class Move:
 class MoveSet:
     moves: list[Move]
     max_expansion: int  # longest expansion among the moves
-    min_theta: int  # smallest a+b count of any indexed generator move
-    has_big: bool
+    families: tuple[int, ...]  # indices of the indexed generators, ascending
 
 
 @dataclass(frozen=True)
@@ -65,65 +63,102 @@ def build_moves(
         Move(gen, gen.letter.word(), ~gen.letter.word()) for gen in LETTER_GENS
     ]
     cutoff = max_usable_index(u, upper_bound, params)
+    families = () if cutoff is None else tuple(range(params.jmin, cutoff + 1))
     max_exp = 1
-    if cutoff is not None:
-        for j in range(params.jmin, cutoff + 1):
-            for gen in enumerate_generators(
-                params, j, max_count=budget.max_nodes, complete=True
-            ):
-                exp = expand_generator(gen, params)
-                moves.append(Move(gen, exp, ~exp))
-                if exp.s_length > max_exp:
-                    max_exp = exp.s_length
-    return MoveSet(
-        moves=moves,
-        max_expansion=max_exp,
-        min_theta=theta_value(params.jmin, params),
-        has_big=cutoff is not None,
-    )
+    for j in families:
+        for gen in enumerate_generators(
+            params, j, max_count=budget.max_nodes, complete=True
+        ):
+            exp = expand_generator(gen, params)
+            moves.append(Move(gen, exp, ~exp))
+            if exp.s_length > max_exp:
+                max_exp = exp.s_length
+    return MoveSet(moves=moves, max_expansion=max_exp, families=families)
 
 
 def make_heuristic(u: Word, upper_bound: int, params: GenSetParams, moves: MoveSet):
-    """Admissible lower bound on the move-set word length of a remainder.
+    """Admissible lower bound on the move-set word length of a remainder:
+    the exact abelian relaxation, found in O(log |r|) steps and cached per
+    (ab(r), |r|).
 
-    Combines the best certificate bound with two counting bounds: a
-    factorization with n symbols, m of them indexed generators, satisfies
-    n >= m(T+1) - theta(r) (each indexed generator has a+b count at least
-    T, every other symbol at least -1) and n >= |r| - m(E-1) (n-m letters
-    and m expansions of at most E letters must spell all of r). With no
-    indexed moves the letter count is the exact distance.
+    Soundness. Let B be the base, g = (B, B+1, 0), and let the move set
+    hold the indexed families j in [jmin, J]. Whatever its conjugator, an
+    index-j generator abelianizes to d_j g with d_j = B^(2j-1). Take a
+    factorization of r, with ab(r) = (na, nb, nc), into n symbols, M of
+    them indexed. Their images add up to t g with M d_jmin <= t <= M d_J,
+    and the n - M letters are unit vectors, so
+
+        n - M >= |nc| + R(t),   R(t) = |na - B t| + |nb - (B+1) t|.
+
+    The n - M letters and M expansions of at most E letters spell r, so
+    also n >= |r| - M (E - 1). Hence n >= H(M), where
+
+        H(M) = max(M + |nc| + min of R over [M d_jmin, M d_J], |r| - M (E - 1)).
+
+    R(t) = B |na/B - t| + (B+1) |nb/(B+1) - t| is convex and smallest at
+    nb/(B+1), the point of larger weight, so over an interval it is
+    smallest at the clamp of nb/(B+1) into it. The first term of H is R
+    minimized over the slice at M of the convex cone
+    {(M, t) : M d_jmin <= t <= M d_J}, hence convex in M; the second term
+    is linear, so H is convex, and h(r) = ceil(min of H(M) over integers
+    M >= 0) is found by a binary search for the first M with
+    H(M+1) >= H(M). As H(0) = |r| and H(M) >= M, that M lies in [0, |r|].
+    With one family t = M d_jmin is forced, and the bound is the integer
+    relaxation itself. Without indexed moves only the letters remain and
+    h is the letter count, which is exact.
+
+    Dominance. h is at least the earlier heuristic, the larger of the
+    best certificate pool bound and the counting bound
+    min over m >= 0 of max(m (T+1) - theta(r), |r| - m (E-1), m), with
+    T = theta_value(jmin) and theta = na + nb; so it prunes at least as
+    much:
+      * R(t) >= (B t - na) + ((B+1) t - nb) = (2B+1) t - theta, and
+        t >= M d_jmin with (2B+1) d_jmin = T, give
+        M + R >= M (T+1) - theta: H(M) is at least the counting term at
+        m = M;
+      * every pool row psi (LOWER certificates negated) has psi(g) <= 0
+        and coefficients of size at most cap, so for t >= 0
+        psi(ab) = psi(ab - t g) + t psi(g) <= cap (|nc| + R(t)), and the
+        row's bound ceil(psi(ab) / cap) is at most h.
     """
+    if not moves.families:
+        return lambda r: r.s_length
     base = params.base
-    emax = moves.max_expansion
-    big_theta = moves.min_theta
-    has_big = moves.has_big
-    cache: dict[Word, int] = {}
+    w = base + 1  # H is computed scaled by w, in integers
+    d_lo = params.inner_exp(moves.families[0])
+    d_hi = params.inner_exp(moves.families[-1])
+    grow = moves.max_expansion - 1
+    cache: dict[tuple[int, int, int, int], int] = {}
+
+    def relaxation(na: int, nb: int, nc: int, slen: int) -> int:
+        fixed = w * abs(nc)
+        balanced = abs(w * na - base * nb)  # w R(nb / w)
+
+        def scaled_h(m: int) -> int:  # w H(m)
+            lo, hi = m * d_lo, m * d_hi
+            if nb < w * lo:
+                rest = w * (abs(na - base * lo) + w * lo - nb)
+            elif nb > w * hi:
+                rest = w * (abs(na - base * hi) + nb - w * hi)
+            else:
+                rest = balanced
+            return max(w * m + fixed + rest, w * (slen - m * grow))
+
+        lo, hi = 0, slen
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if scaled_h(mid + 1) >= scaled_h(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return -(-scaled_h(lo) // w)
 
     def h(r: Word) -> int:
-        cached = cache.get(r)
-        if cached is not None:
-            return cached
-        slen = r.s_length
-        if not has_big:
-            cache[r] = slen
-            return slen
-        ab = r.abelianize()
-        best = pool_bound(ab, base)[0]
-        theta = ab[0] + ab[1]
-        struct = slen
-        m = 1
-        while True:
-            a_part = m * (big_theta + 1) - theta
-            if a_part >= struct:
-                break
-            cand = max(a_part, slen - m * (emax - 1), m)
-            if cand < struct:
-                struct = cand
-            m += 1
-        if struct > best:
-            best = struct
-        cache[r] = best
-        return best
+        key = (*r.abelianize(), r.s_length)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = relaxation(*key)
+        return value
 
     return h
 
@@ -181,12 +216,10 @@ def best_first(
                     parents[nxt] = (state, move.gen)
                     incumbent = ncost
                     limit = min(cap, incumbent - 1)
-                elif ncost + h(nxt) <= limit:
+                elif (f_nxt := ncost + h(nxt)) <= limit:
                     best_g[nxt] = ncost
                     parents[nxt] = (state, move.gen)
-                    heappush(
-                        heap, (ncost + h(nxt), nxt.s_length, nxt.runs, ncost, nxt)
-                    )
+                    heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
     if incumbent is not None:
         return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent, False)
     # Whole graph below the cap explored without reaching the target.

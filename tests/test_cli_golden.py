@@ -32,6 +32,9 @@ CASES = {
     "xlen_search": ["xlen", "c a c^-2 b a c^-1 b", *B2, "--max-nodes", "40"],
     "xlen_deepening": ["xlen", "c a^4 b^4", *B2, "--algorithm", "deepening"],
     "xlen_budget": ["xlen", "c a c^-2 b a c^-1 b c^-2", *B2, "--max-nodes", "200"],
+    "xlen_budget_exhausted": [
+        "xlen", "c a c^-2 b a c^-1 b c^-2 b^-1 c", *B2, "--max-nodes", "50",
+    ],
     "xlen_dual_budget": [
         "xlen", "c a^4 b^4 a^-1", *B2, "--max-nodes", "60", "--algorithm", "dual",
     ],

@@ -10,7 +10,7 @@ from wordweight.errors import (
     InvalidCertificate,
     UnknownLength,
 )
-from wordweight.genset import BigGen, GenSetParams, expand_generator, theta_value
+from wordweight.genset import BigGen, GenSetParams, expand_generator
 from wordweight.lengths import (
     Certificate,
     Direction,
@@ -65,8 +65,7 @@ class TestPoolBound:
         moves = MoveSet(
             moves=[],
             max_expansion=big.s_length,
-            min_theta=theta_value(params.jmin, params),
-            has_big=True,
+            families=(params.jmin,),
         )
         h = make_heuristic(u, u.s_length, params, moves)
         assert h(u) >= best_certificate_bound(u, params)[0]
