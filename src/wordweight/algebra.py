@@ -7,6 +7,11 @@ e-exponent) pairs, general quantities are formal term lists. Equalities
 are decided structurally (e is transcendental, so equal values have equal
 term lists); inequalities fall back to interval evaluation at increasing
 precision, which always terminates on distinct values.
+
+mpmath is imported inside the four functions that evaluate floats or
+intervals, so that importing the library does not load it (about 4 MB of
+resident memory) for callers that never reach them, such as length
+searches.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-import mpmath
 
 from .errors import IndexTooSmall, PreconditionViolated, UnknownLength
 from .genset import GenSetParams, normalize_conjugator, expand_generator
@@ -50,6 +53,8 @@ class ExpScalar:
 
     def to_float(self) -> float:
         """Float value; may under/overflow to 0.0 or inf for huge exponents."""
+        import mpmath
+
         with mpmath.workprec(80):
             return float(mpmath.mpf(self.mantissa.numerator)
                          / self.mantissa.denominator * mpmath.exp(self.exponent))
@@ -70,6 +75,8 @@ def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
     Interval evaluation at doubling precision; a nonzero such sum always
     resolves eventually because e is transcendental.
     """
+    import mpmath
+
     iv = mpmath.iv
     saved = iv.prec
     prec = 64
@@ -184,6 +191,8 @@ class ExpSum:
         """Evaluation with relative error well under 1e-12 (80-bit floats)."""
         if not self.terms:
             return 0.0
+        import mpmath
+
         with mpmath.workprec(80):
             total = mpmath.mpf(0)
             for e, m in self.terms:
@@ -576,6 +585,8 @@ def spectral_probe(f: WeightedVector, K: int) -> list[NormRoot]:
             roots.append(NormRoot(root_m, Fraction(exponent, k), exact))
         else:
             top = norm.terms[0][0]
+            import mpmath
+
             with mpmath.workprec(80):
                 s = mpmath.mpf(0)
                 for e, m in norm.terms:

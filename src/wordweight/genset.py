@@ -171,6 +171,41 @@ def _words_of_length(length: int, skip_b_tail: bool) -> Iterator[Word]:
     yield from rec(0)
 
 
+def family_size(params: GenSetParams, j: int) -> int:
+    """Number of distinct index-j generators: exactly 5^(B^j).
+
+    Proof. Each generator has one normal-form conjugator: a reduced word
+    v with |v| <= B^j not ending in b^(+-1) (``normalize_conjugator``).
+    Distinct normal forms give distinct generators: the expansion
+    determines v b^(B^(2j-1)) v^-1, and v' b^k v'^-1 = v b^k v^-1 with
+    k != 0 forces v^-1 v' to commute with b^k, so v' = v b^m, and both
+    being in normal form gives m = 0. Counting normal forms: the empty
+    word, and for each n >= 1 the 6 * 5^(n-1) reduced words of length n,
+    of which the letter-permuting automorphisms of the free group make
+    equally many end in each of the six letters, so 4 * 5^(n-1) do not
+    end in b^(+-1). Summing, 1 + 4 (5^0 + ... + 5^(L-1)) = 5^L with
+    L = B^j.
+
+    The result has about 2.3 B^j bits; check against a budget with
+    ``check_family_size``, which never builds it when it is too large.
+    """
+    _check_index(j, params)
+    return 5 ** params.conjugator_bound(j)
+
+
+def check_family_size(params: GenSetParams, j: int, max_count: int) -> None:
+    """Raise BudgetExhausted if the index-j family has more than
+    ``max_count`` generators.
+
+    5^L > max_count as soon as L >= max_count.bit_length(), since
+    max_count < 2^L <= 5^L; the exact size is only built below that.
+    """
+    _check_index(j, params)
+    length = params.conjugator_bound(j)
+    if length >= max_count.bit_length() or family_size(params, j) > max_count:
+        raise BudgetExhausted(f"index-{j} family exceeds max_count={max_count}")
+
+
 def enumerate_generators(
     params: GenSetParams,
     j: int,
@@ -180,25 +215,18 @@ def enumerate_generators(
     """Yield the distinct index-j generators, length-lex in the conjugator.
 
     Conjugators ending in b^(+-1) normalize to shorter ones already seen,
-    so they are skipped outright; a defensive expansion-equality check
-    guards against any residual duplicates. With ``complete=True``, raises
-    BudgetExhausted if the family does not fit within ``max_count``.
+    so they are skipped outright; the rest are pairwise distinct
+    (``family_size``). With ``complete=True``, raises BudgetExhausted
+    before yielding anything if the family does not fit within
+    ``max_count``; otherwise at most ``max_count`` generators are yielded.
     """
     _check_index(j, params)
-    seen: set[Word] = set()
+    if max_count is not None and complete:
+        check_family_size(params, j, max_count)
     yielded = 0
     for length in range(params.conjugator_bound(j) + 1):
         for v in _words_of_length(length, skip_b_tail=True):
-            gen = BigGen(v, j)
-            expansion = expand_generator(gen, params)
-            if expansion in seen:
-                continue
             if max_count is not None and yielded >= max_count:
-                if complete:
-                    raise BudgetExhausted(
-                        f"index-{j} family exceeds max_count={max_count}"
-                    )
                 return
-            seen.add(expansion)
             yielded += 1
-            yield gen
+            yield BigGen(v, j)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .genset import (
     Gen,
     GenSetParams,
     LETTER_GENS,
+    check_family_size,
     enumerate_generators,
     expand_generator,
     max_usable_index,
@@ -51,28 +53,47 @@ class Outcome:
     exhausted: bool
 
 
+_LETTER_MOVES = tuple(
+    Move(gen, gen.letter.word(), ~gen.letter.word()) for gen in LETTER_GENS
+)
+
+
+@lru_cache(maxsize=16)
+def _family_moves(params: GenSetParams, j: int) -> tuple[tuple[Move, ...], int]:
+    """The index-j family as moves, and its longest expansion.
+
+    A family depends on (params, j) alone, so it is listed once per
+    process; callers copy the tuple and never mutate what it holds.
+    """
+    moves = []
+    longest = 0
+    for gen in enumerate_generators(params, j):
+        exp = expand_generator(gen, params)
+        moves.append(Move(gen, exp, ~exp))
+        longest = max(longest, exp.s_length)
+    return tuple(moves), longest
+
+
 def build_moves(
     u: Word, upper_bound: int, params: GenSetParams, budget: SearchBudget
 ) -> MoveSet:
     """Letters plus every indexed generator below the sound cutoff.
 
-    Raises BudgetExhausted if some index family is too large to list
-    within the node budget (paper-scale bases fail here gracefully).
+    Raises BudgetExhausted, before listing anything, if some index family
+    below the cutoff has more generators than the node budget (its size
+    is known in closed form, ``family_size``), so paper-scale bases fail
+    at once.
     """
-    moves = [
-        Move(gen, gen.letter.word(), ~gen.letter.word()) for gen in LETTER_GENS
-    ]
     cutoff = max_usable_index(u, upper_bound, params)
     families = () if cutoff is None else tuple(range(params.jmin, cutoff + 1))
+    for j in families:
+        check_family_size(params, j, budget.max_nodes)
+    moves = list(_LETTER_MOVES)
     max_exp = 1
     for j in families:
-        for gen in enumerate_generators(
-            params, j, max_count=budget.max_nodes, complete=True
-        ):
-            exp = expand_generator(gen, params)
-            moves.append(Move(gen, exp, ~exp))
-            if exp.s_length > max_exp:
-                max_exp = exp.s_length
+        family, longest = _family_moves(params, j)
+        moves.extend(family)
+        max_exp = max(max_exp, longest)
     return MoveSet(moves=moves, max_expansion=max_exp, families=families)
 
 

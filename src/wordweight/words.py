@@ -133,9 +133,13 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         """Reduced n-th power via cyclic reduction of the core.
 
-        Stripping the maximal conjugating shell first makes the cost
-        independent of |n| whenever the core is a single run (e.g. powers
-        of one letter, or conjugates of them).
+        Stripping the maximal conjugating shell leaves a cyclically
+        reduced core: its first and last runs are on distinct bases, or on
+        one base with the same sign. Copies of it therefore never cancel;
+        they only merge at the seam in the second case. The runs of the
+        power are written out directly, so the cost is linear in the
+        result, and independent of |n| when the core is a single run
+        (e.g. powers of one letter, or conjugates of them).
         """
         if n == 0:
             return IDENTITY
@@ -157,11 +161,13 @@ class Word:
                 core.append((b1, s))
         if len(core) <= 1:
             powered = Word(((core[0][0], core[0][1] * n),)) if core else IDENTITY
+        elif core[0][0] != core[-1][0]:
+            powered = Word(tuple(core) * n)
         else:
-            t = Word(tuple(core))
-            powered = t
-            for _ in range(n - 1):
-                powered = powered * t
+            inner = core[1:-1]
+            seam = (core[0][0], core[-1][1] + core[0][1])
+            runs = [core[0]] + (inner + [seam]) * (n - 1) + inner + [core[-1]]
+            powered = Word(tuple(runs))
         w = Word(tuple(shell))
         return w * powered * ~w
 

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -60,6 +61,22 @@ class TestXlen:
         assert code == 3
         assert report["budget_exhausted"] and not report["exact"]
         assert report["lower"] <= 126 <= report["upper"]
+
+    def test_paper_scale_budget_is_immediate(self, capsys):
+        # the index-2 family at base 5 has 5^25 generators; listing the
+        # first 500,000 of them before giving up once took 34 s
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(
+                main(["xlen", "--max-ms", "2000", "a^625 b^625 c a^-1"])
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and codes == [3]
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "budget" and report["nodes_expanded"] == 0
 
     def test_bracket_mode_completes_with_zero(self, capsys):
         code, report = run_json(

@@ -10,6 +10,7 @@ from wordweight.genset import (
     LETTER_GENS,
     enumerate_generators,
     expand_generator,
+    family_size,
     max_usable_index,
     normalize_conjugator,
     theta_value,
@@ -195,6 +196,21 @@ class TestEnumeration:
     def test_index_below_jmin(self):
         with pytest.raises(IndexTooSmall):
             list(enumerate_generators(P5, 1))
+
+    def test_family_size_matches_enumeration(self):
+        for base, j in [(2, 1), (2, 2), (3, 1), (4, 1)]:
+            params = GenSetParams(base=base, jmin=1)
+            listed = sum(1 for _ in enumerate_generators(params, j))
+            assert family_size(params, j) == listed
+        assert family_size(P2, 1) == 25 and family_size(P5, 2) == 5**25
+
+    def test_budget_refused_before_anything_is_yielded(self):
+        # the index-5 family at base 5 has 5^3125 generators; listing even
+        # max_count of them is not attempted
+        stream = enumerate_generators(P5, 5, max_count=10**6, complete=True)
+        with pytest.raises(BudgetExhausted, match="index-5 .* max_count=1000000$"):
+            next(stream)
+        assert list(enumerate_generators(P2, 1, max_count=25, complete=True))
 
 
 class TestMaxUsableIndex:

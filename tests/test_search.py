@@ -1,15 +1,24 @@
-"""The search heuristic: soundness, dominance over the earlier bound,
-bounded cost, and a differential test of exact lengths."""
+"""The move set and the search heuristic: refusal and caching in
+build_moves; soundness, dominance over the earlier bound and bounded cost
+of the heuristic; and a differential test of exact lengths."""
 
 import random
 import threading
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordweight.genset import BigGen, GenSetParams, expand_generator, theta_value
+from wordweight.errors import BudgetExhausted
+from wordweight.genset import (
+    BigGen,
+    GenSetParams,
+    expand_generator,
+    max_usable_index,
+    theta_value,
+)
 from wordweight.lengths import SearchBudget, pool_bound, xlength
-from wordweight.search import MoveSet, build_moves, make_heuristic
+from wordweight.search import MoveSet, _family_moves, build_moves, make_heuristic
 from wordweight.words import IDENTITY, LETTERS, Word
 
 P2 = GenSetParams(base=2, jmin=1)
@@ -59,6 +68,60 @@ remainders = st.lists(
     ),
     max_size=6,
 ).map(Word.from_runs)
+
+
+class TestBuildMoves:
+    def test_paper_scale_refused_before_listing(self):
+        # cutoff 4 at base 5: every family from index 2 up has at least
+        # 5^25 generators, far above the node budget
+        params = GenSetParams(base=5, jmin=2)
+        u = Word((("a", 5**8), ("b", 5**8)))
+        assert max_usable_index(u, u.s_length, params) == 4
+        errors = []
+
+        def run():
+            try:
+                build_moves(u, u.s_length, params, SearchBudget(max_nodes=10**6))
+            except BudgetExhausted as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert errors == ["index-2 family exceeds max_count=1000000"]
+
+    def test_node_budget_below_a_family(self):
+        params, moves = move_set(2, 40)  # families 1 and 2: 25 and 625
+        g = expand_generator(BigGen(IDENTITY, 1), params)
+        u = g * g
+        message = "^index-2 family exceeds max_count=624$"
+        with pytest.raises(BudgetExhausted, match=message):
+            build_moves(u, u.s_length + 40, params, SearchBudget(max_nodes=624))
+        fits = build_moves(u, u.s_length + 40, params, SearchBudget(max_nodes=625))
+        assert fits.moves == moves.moves and len(moves.moves) == 6 + 25 + 625
+
+    def test_calls_return_independent_lists(self):
+        params = GenSetParams(base=2, jmin=1)
+        u = expand_generator(BigGen(IDENTITY, 1), params) * Word((("c", 1),))
+        first = build_moves(u, u.s_length, params, SearchBudget())
+        expected = list(first.moves)
+        first.moves.clear()
+        second = build_moves(u, u.s_length, params, SearchBudget())
+        assert second.moves == expected and len(expected) == 6 + 25
+        assert second.moves is not first.moves
+
+    def test_bases_do_not_share_families(self):
+        families = {}
+        for base in (2, 3):
+            params = GenSetParams(base=base, jmin=1)
+            family, longest = _family_moves(params, 1)
+            assert longest == max(m.expansion.s_length for m in family)
+            families[base] = family
+        assert len(families[2]) == 25 and len(families[3]) == 125
+        assert {m.expansion for m in families[2]}.isdisjoint(
+            m.expansion for m in families[3]
+        )
 
 
 class TestHeuristic:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +123,38 @@ class TestPow:
         for _ in range(abs(n)):
             expected = expected * base
         assert u**n == expected
+
+    @given(
+        words_st,
+        st.sampled_from(["a b", "a b a", "a^2 c a^3", "a b^-1 c a^-2 b"]),
+        st.integers(-6, 6),
+    )
+    def test_matches_repeated_product_under_shells(self, shell, core, n):
+        # multi-run cores, seam-merging or not, inside a random shell
+        u = shell * W(core) * ~shell
+        expected = IDENTITY
+        base = u if n >= 0 else ~u
+        for _ in range(abs(n)):
+            expected = expected * base
+        assert u**n == expected
+
+    def test_multi_run_core_bounded_cost(self):
+        # the power once took n-1 products, each copying the whole word:
+        # (a b)^16000 took 2 s
+        cases = [
+            (W("a b"), 16000, 32000),
+            (W("c a b a c^-1"), 10**6, 2 * 10**6 + 3),
+        ]
+        results = []
+
+        def run():
+            results.extend(len((u**n).runs) for u, n, _ in cases)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results == [runs for _, _, runs in cases]
 
 
 class TestLengthAndHoms:
