@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import IndexTooSmall, PreconditionViolated, UnknownLength
-from .genset import GenSetParams, normalize_conjugator, expand_generator
+from .errors import PreconditionViolated, UnknownLength
+from .genset import GenSetParams, _check_index, normalize_conjugator, expand_generator
 from .lengths import SearchBudget, _check_chain, family_length, xlength
 from .words import IDENTITY, Word
 
@@ -459,8 +459,7 @@ def sandwich_decay_bound(
     """
     params = provider.params
     _require_canonical(params)
-    if j < params.jmin:
-        raise IndexTooSmall(f"index {j} below jmin={params.jmin}")
+    _check_index(j, params)
     n_min = min_tail_index(j, u, params)
     if k < n_min:
         raise PreconditionViolated(

@@ -27,14 +27,8 @@ from .algebra import (
     spectral_probe,
     vector_to_literal,
 )
-from .errors import (
-    ConstraintViolation,
-    IndexTooSmall,
-    PreconditionViolated,
-    UnknownLength,
-    WordSyntaxError,
-)
-from .genset import GenSetParams
+from .errors import PreconditionViolated, UnknownLength
+from .genset import GenSetParams, _check_index
 from .lengths import (
     LengthResult,
     SearchBudget,
@@ -328,8 +322,7 @@ def cmd_radical_demo(args) -> int:
             "the demo relies on the proven closed forms: base 5, jmin 2"
         )
     for j in js:
-        if j < params.jmin:
-            raise IndexTooSmall(f"--j {j} below jmin={params.jmin}")
+        _check_index(j, params)
     if args.r < 1 or args.kmax < 1:
         raise ValueError("--r and --kmax must be >= 1")
     provider = WeightProvider(params, mode="family")
@@ -439,16 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        WordSyntaxError,
-        UnknownLength,
-        ConstraintViolation,
-        IndexTooSmall,
-        PreconditionViolated,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, UnknownLength, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

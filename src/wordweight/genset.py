@@ -90,8 +90,7 @@ def normalize_conjugator(v: Word, j: int, params: GenSetParams) -> BigGen:
     same group element, so each generator has a unique representative
     whose conjugator does not end in b^(+-1).
     """
-    if j < params.jmin:
-        raise IndexTooSmall(f"index {j} below jmin={params.jmin}")
+    _check_index(j, params)
     if v.s_length > params.conjugator_bound(j):
         raise ConjugatorTooLong(
             f"|v|={v.s_length} exceeds bound {params.conjugator_bound(j)} for index {j}"
@@ -149,9 +148,9 @@ def _reduced_suffix_letters(prev: Letter | None) -> list[Letter]:
     ]
 
 
-def _words_of_length(length: int, skip_b_tail: bool) -> Iterator[Word]:
-    """All reduced letter sequences of the given length, lexicographic in
-    the canonical letter order; optionally only those not ending in b^(+-1)."""
+def _words_of_length(length: int) -> Iterator[Word]:
+    """All reduced letter sequences of the given length not ending in
+    b^(+-1), lexicographic in the canonical letter order."""
     if length == 0:
         yield IDENTITY
         return
@@ -159,7 +158,7 @@ def _words_of_length(length: int, skip_b_tail: bool) -> Iterator[Word]:
 
     def rec(depth: int) -> Iterator[Word]:
         for letter in _reduced_suffix_letters(stack[-1] if stack else None):
-            if depth == length - 1 and skip_b_tail and letter.base == "b":
+            if depth == length - 1 and letter.base == "b":
                 continue
             stack.append(letter)
             if depth == length - 1:
@@ -191,6 +190,22 @@ def family_size(params: GenSetParams, j: int) -> int:
     """
     _check_index(j, params)
     return 5 ** params.conjugator_bound(j)
+
+
+def longest_expansion(params: GenSetParams, j: int) -> int:
+    """Letter count of the longest index-j expansion:
+    2 B^j + B^(2j-1) + 2 B^(2j).
+
+    Proof. The expansion v b^(B^(2j-1)) v^-1 a^(B^(2j)) b^(B^(2j)) is
+    spelled by at most 2 |v| + B^(2j-1) + 2 B^(2j) letters, and
+    |v| <= B^j, so no expansion is longer. The conjugator v = c^(B^j) is
+    in normal form and reaches the bound: in
+    c^(B^j) b^(B^(2j-1)) c^(-B^j) a^(B^(2j)) b^(B^(2j)) no two adjacent
+    runs share a letter, so nothing cancels.
+    """
+    _check_index(j, params)
+    conj = params.conjugator_bound(j)
+    return 2 * conj + params.inner_exp(j) + 2 * params.outer_exp(j)
 
 
 def check_family_size(params: GenSetParams, j: int, max_count: int) -> None:
@@ -225,7 +240,7 @@ def enumerate_generators(
         check_family_size(params, j, max_count)
     yielded = 0
     for length in range(params.conjugator_bound(j) + 1):
-        for v in _words_of_length(length, skip_b_tail=True):
+        for v in _words_of_length(length):
             if max_count is not None and yielded >= max_count:
                 return
             yielded += 1

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     BudgetExhausted,
@@ -31,6 +32,7 @@ from .genset import (
     expand_generator,
     normalize_conjugator,
 )
+from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
 from .words import IDENTITY, Letter, Word, hom_value
 
 C_POS = LetterGen(Letter("c", 1))
@@ -92,12 +94,6 @@ def eval_certificate(cert: Certificate, u: Word, params: GenSetParams) -> int:
     return max(0, -(-value // cap))
 
 
-def _gcd3(a: int, b: int, c: int) -> int:
-    from math import gcd
-
-    return gcd(gcd(abs(a), abs(b)), abs(c))
-
-
 @lru_cache(maxsize=None)
 def certificate_pool(base: int, span: int = 3) -> tuple[Certificate, ...]:
     """Every valid primitive certificate with coefficients in [-span, span].
@@ -109,7 +105,7 @@ def certificate_pool(base: int, span: int = 3) -> tuple[Certificate, ...]:
     for ca in range(-span, span + 1):
         for cb in range(-span, span + 1):
             for cc in range(-span, span + 1):
-                if (ca, cb, cc) == (0, 0, 0) or _gcd3(ca, cb, cc) != 1:
+                if (ca, cb, cc) == (0, 0, 0) or gcd(ca, cb, cc) != 1:
                     continue
                 slope = ca * base + cb * (base + 1)
                 if slope <= 0:
@@ -210,9 +206,6 @@ class Factorization:
         return [
             str(gen) if mult == 1 else f"{gen} *{mult}" for gen, mult in self.items
         ]
-
-    def big_gens(self) -> list[BigGen]:
-        return [g for g, _ in self.items if isinstance(g, BigGen)]
 
 
 def verify_factorization(
@@ -475,13 +468,6 @@ def rewrite_drop_conjugator(
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 1_000_000
-    max_cost: int | None = None
-    max_millis: float | None = None
-
-
-@dataclass(frozen=True)
 class LengthResult:
     """Bracket [lower, upper] on the extended word length.
 
@@ -537,8 +523,6 @@ def xlength(
     bracket does not already collapse. ``algorithm`` picks the search
     engine: best-first, deepening, or dual (both, asserting agreement).
     """
-    from . import search as _search
-
     t0 = time.perf_counter()
     budget = budget or SearchBudget()
 
@@ -580,21 +564,17 @@ def xlength(
 
     # Exact mode: exhaustive search below the index cutoff.
     try:
-        moves = _search.build_moves(u, upper, params, budget)
+        moves = build_moves(u, upper, params, budget)
     except BudgetExhausted:
         return result(lower, upper, witness, "budget", budget_exhausted=True)
 
-    heuristic = _search.make_heuristic(u, upper, params, moves)
+    heuristic = make_heuristic(params, moves.families)
     cap = upper if budget.max_cost is None else min(upper, budget.max_cost)
     outcomes = []
     if algorithm in ("best-first", "dual"):
-        outcomes.append(
-            _search.best_first(u, moves, cap, heuristic, budget, t0)
-        )
+        outcomes.append(best_first(u, moves, cap, heuristic, budget, t0))
     if algorithm in ("deepening", "dual"):
-        outcomes.append(
-            _search.deepening(u, moves, cap, heuristic, budget, t0)
-        )
+        outcomes.append(deepening(u, moves, cap, heuristic, budget, t0))
     if not outcomes:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 

@@ -22,25 +22,30 @@ from .genset import (
     check_family_size,
     enumerate_generators,
     expand_generator,
+    longest_expansion,
     max_usable_index,
 )
-from .lengths import SearchBudget
 from .words import Word
 
 _INF = float("inf")
 
 
 @dataclass(frozen=True)
+class SearchBudget:
+    max_nodes: int = 1_000_000
+    max_cost: int | None = None
+    max_millis: float | None = None
+
+
+@dataclass(frozen=True)
 class Move:
     gen: Gen
-    expansion: Word
     inverse: Word  # inverse of the expansion, applied to remainders
 
 
 @dataclass
 class MoveSet:
     moves: list[Move]
-    max_expansion: int  # longest expansion among the moves
     families: tuple[int, ...]  # indices of the indexed generators, ascending
 
 
@@ -50,28 +55,22 @@ class Outcome:
     path: list[Gen] | None  # with cost None: best factorization found so far
     nodes: int
     lower_bound: int  # proven even when no factorization was found
-    exhausted: bool
 
 
-_LETTER_MOVES = tuple(
-    Move(gen, gen.letter.word(), ~gen.letter.word()) for gen in LETTER_GENS
-)
+_LETTER_MOVES = tuple(Move(gen, ~gen.letter.word()) for gen in LETTER_GENS)
 
 
 @lru_cache(maxsize=16)
-def _family_moves(params: GenSetParams, j: int) -> tuple[tuple[Move, ...], int]:
-    """The index-j family as moves, and its longest expansion.
+def _family_moves(params: GenSetParams, j: int) -> tuple[Move, ...]:
+    """The index-j family as moves.
 
     A family depends on (params, j) alone, so it is listed once per
     process; callers copy the tuple and never mutate what it holds.
     """
-    moves = []
-    longest = 0
-    for gen in enumerate_generators(params, j):
-        exp = expand_generator(gen, params)
-        moves.append(Move(gen, exp, ~exp))
-        longest = max(longest, exp.s_length)
-    return tuple(moves), longest
+    return tuple(
+        Move(gen, ~expand_generator(gen, params))
+        for gen in enumerate_generators(params, j)
+    )
 
 
 def build_moves(
@@ -89,30 +88,30 @@ def build_moves(
     for j in families:
         check_family_size(params, j, budget.max_nodes)
     moves = list(_LETTER_MOVES)
-    max_exp = 1
     for j in families:
-        family, longest = _family_moves(params, j)
-        moves.extend(family)
-        max_exp = max(max_exp, longest)
-    return MoveSet(moves=moves, max_expansion=max_exp, families=families)
+        moves.extend(_family_moves(params, j))
+    return MoveSet(moves=moves, families=families)
 
 
-def make_heuristic(u: Word, upper_bound: int, params: GenSetParams, moves: MoveSet):
-    """Admissible lower bound on the move-set word length of a remainder:
-    the exact abelian relaxation, found in O(log |r|) steps and cached per
-    (ab(r), |r|).
+def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
+    """Admissible lower bound on the word length of a remainder over the
+    letters and the indexed ``families`` (ascending): the exact abelian
+    relaxation, found in O(log |r|) steps and cached per (ab(r), |r|). It
+    needs only closed-form family data, so it never lists a family.
 
-    Soundness. Let B be the base, g = (B, B+1, 0), and let the move set
-    hold the indexed families j in [jmin, J]. Whatever its conjugator, an
-    index-j generator abelianizes to d_j g with d_j = B^(2j-1). Take a
+    Soundness. Let B be the base, g = (B, B+1, 0), and let the families
+    be the indices j in [jmin, J]. Whatever its conjugator, an index-j
+    generator abelianizes to d_j g with d_j = B^(2j-1). Take a
     factorization of r, with ab(r) = (na, nb, nc), into n symbols, M of
     them indexed. Their images add up to t g with M d_jmin <= t <= M d_J,
     and the n - M letters are unit vectors, so
 
         n - M >= |nc| + R(t),   R(t) = |na - B t| + |nb - (B+1) t|.
 
-    The n - M letters and M expansions of at most E letters spell r, so
-    also n >= |r| - M (E - 1). Hence n >= H(M), where
+    The n - M letters and M expansions of at most
+    E = 2 B^J + B^(2J-1) + 2 B^(2J) letters (``longest_expansion``, which
+    grows with j) spell r, so also n >= |r| - M (E - 1). Hence n >= H(M),
+    where
 
         H(M) = max(M + |nc| + min of R over [M d_jmin, M d_J], |r| - M (E - 1)).
 
@@ -142,13 +141,13 @@ def make_heuristic(u: Word, upper_bound: int, params: GenSetParams, moves: MoveS
         psi(ab) = psi(ab - t g) + t psi(g) <= cap (|nc| + R(t)), and the
         row's bound ceil(psi(ab) / cap) is at most h.
     """
-    if not moves.families:
+    if not families:
         return lambda r: r.s_length
     base = params.base
     w = base + 1  # H is computed scaled by w, in integers
-    d_lo = params.inner_exp(moves.families[0])
-    d_hi = params.inner_exp(moves.families[-1])
-    grow = moves.max_expansion - 1
+    d_lo = params.inner_exp(families[0])
+    d_hi = params.inner_exp(families[-1])
+    grow = longest_expansion(params, families[-1]) - 1
     cache: dict[tuple[int, int, int, int], int] = {}
 
     def relaxation(na: int, nb: int, nc: int, slen: int) -> int:
@@ -200,10 +199,10 @@ def best_first(
 ) -> Outcome:
     """Optimal factorization cost within ``cap``, or a proven lower bound."""
     if u.is_identity():
-        return Outcome(0, [], 0, 0, False)
+        return Outcome(0, [], 0, 0)
     start_h = h(u)
     if start_h > cap:
-        return Outcome(None, None, 0, start_h, True)
+        return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
     move_list = moves.moves
     best_g: dict[Word, int] = {u: 0}
@@ -216,7 +215,7 @@ def best_first(
     while heap:
         f, _, _, cost, state = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent, False)
+            return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
         if cost > best_g.get(state, -1):
             continue  # stale entry
         nodes += 1
@@ -226,7 +225,7 @@ def best_first(
             # an incumbent found before running dry is still a valid witness,
             # just not proven optimal
             partial = _rebuild(parents, u) if incumbent is not None else None
-            return Outcome(None, partial, nodes, 0, True)
+            return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
         for move in move_list:
@@ -242,9 +241,9 @@ def best_first(
                     parents[nxt] = (state, move.gen)
                     heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent, False)
+        return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
-    return Outcome(None, None, nodes, cap + 1, True)
+    return Outcome(None, None, nodes, cap + 1)
 
 
 def _rebuild(parents: dict[Word, tuple[Word, Gen]], u: Word) -> list[Gen]:
@@ -274,7 +273,7 @@ def deepening(
     the exact minimal overshoot, so the first factorization found is
     optimal for an admissible heuristic."""
     if u.is_identity():
-        return Outcome(0, [], 0, 0, False)
+        return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
     move_list = moves.moves
     nodes = 0
@@ -315,13 +314,13 @@ def deepening(
         overshoot = _INF
         try:
             if dfs(u, 0, bound):
-                return Outcome(len(path), list(path), nodes, len(path), False)
+                return Outcome(len(path), list(path), nodes, len(path))
         except _OutOfBudget:
-            return Outcome(None, None, nodes, completed + 1, True)
+            return Outcome(None, None, nodes, completed + 1)
         completed = bound
         if overshoot is _INF:
             exhausted_graph = True
             break
         bound = int(overshoot)
     lower = cap + 1 if exhausted_graph else max(bound, completed + 1)
-    return Outcome(None, None, nodes, lower, True)
+    return Outcome(None, None, nodes, lower)

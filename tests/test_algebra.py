@@ -294,6 +294,16 @@ class TestDecayBounds:
         assert len(set(exponents)) == 3
         assert exponents == [-126, -3126, -78126]
 
+    def test_index_above_cap(self):
+        # the left index is checked at once; the tail index min_tail_index
+        # = 4 enters through the generator x(u^-1, 4)
+        capped = WeightProvider(GenSetParams(5, 2, jmax_cap=3), mode="family")
+        u = W("a")
+        with pytest.raises(ValueError, match="^index 4 above jmax_cap=3$"):
+            sandwich_decay_bound(4, u, 6, capped)
+        with pytest.raises(ValueError, match="^index 4 above jmax_cap=3$"):
+            sandwich_decay_bound(2, u, min_tail_index(2, u, P5), capped)
+
 
 class TestChainProduct:
     def test_two_blocks(self, fam5):

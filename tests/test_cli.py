@@ -146,6 +146,12 @@ class TestRadicalDemo:
         code, _, err = run(capsys, "radical-demo", "--j", "1")
         assert code == 2
 
+    def test_index_above_cap_exit_2(self, capsys):
+        # the decay rows for --j 2 use the tail index 4, above the cap
+        code, out, err = run(capsys, "radical-demo", "--jmax", "3", "--j", "2")
+        assert code == 2 and not out
+        assert err == "error: index 4 above jmax_cap=3\n"
+
     def test_wrong_base_exit_2(self, capsys):
         code, _, _ = run(capsys, "radical-demo", "--base", "2", "--jmin", "1")
         assert code == 2

@@ -11,6 +11,7 @@ from wordweight.genset import (
     enumerate_generators,
     expand_generator,
     family_size,
+    longest_expansion,
     max_usable_index,
     normalize_conjugator,
     theta_value,
@@ -82,6 +83,12 @@ class TestNormalize:
             normalize_conjugator(IDENTITY, 1, P5)
         with pytest.raises(ConjugatorTooLong):
             normalize_conjugator(W("a^26"), 2, P5)
+
+    def test_index_above_cap(self):
+        capped = GenSetParams(5, 2, jmax_cap=3)
+        with pytest.raises(ValueError, match="^index 4 above jmax_cap=3$"):
+            normalize_conjugator(W("a"), 4, capped)
+        assert normalize_conjugator(W("a"), 3, capped) == BigGen(W("a"), 3)
 
     def test_idempotent_and_expansion_preserving(self):
         rng = random.Random(7)
@@ -203,6 +210,16 @@ class TestEnumeration:
             listed = sum(1 for _ in enumerate_generators(params, j))
             assert family_size(params, j) == listed
         assert family_size(P2, 1) == 25 and family_size(P5, 2) == 5**25
+
+    def test_longest_expansion_matches_enumeration(self):
+        expected = {(2, 1): 14, (2, 2): 48, (3, 1): 27, (4, 1): 44}
+        for (base, j), value in expected.items():
+            params = GenSetParams(base=base, jmin=1)
+            listed = max(
+                expand_generator(gen, params).s_length
+                for gen in enumerate_generators(params, j)
+            )
+            assert longest_expansion(params, j) == listed == value
 
     def test_budget_refused_before_anything_is_yielded(self):
         # the index-5 family at base 5 has 5^3125 generators; listing even

@@ -30,7 +30,7 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight.search import MoveSet, build_moves, make_heuristic
+from wordweight.search import build_moves, make_heuristic
 from wordweight.words import IDENTITY, LETTERS, Word
 
 W = Word.parse
@@ -61,13 +61,7 @@ class TestPoolBound:
     @settings(max_examples=150, deadline=None)
     @given(reduced_words, st.sampled_from([P2, P5]))
     def test_heuristic_dominates_certificate_bound(self, u, params):
-        big = expand_generator(BigGen(IDENTITY, params.jmin), params)
-        moves = MoveSet(
-            moves=[],
-            max_expansion=big.s_length,
-            families=(params.jmin,),
-        )
-        h = make_heuristic(u, u.s_length, params, moves)
+        h = make_heuristic(params, (params.jmin,))
         assert h(u) >= best_certificate_bound(u, params)[0]
 
 
@@ -358,7 +352,7 @@ class TestXLength:
         # not find anything shorter.
         import time as _time
 
-        from wordweight.search import best_first, make_heuristic
+        from wordweight.search import best_first
 
         rng = random.Random(41)
         budget = SearchBudget(max_nodes=500_000)
@@ -372,7 +366,7 @@ class TestXLength:
             normal = xlength(u, P2, mode="exact")
             # wildly inflated upper bound unlocks higher generator indices
             wide_moves = build_moves(u, u.s_length + 40, P2, budget)
-            h = make_heuristic(u, u.s_length, P2, wide_moves)
+            h = make_heuristic(P2, wide_moves.families)
             outcome = best_first(
                 u, wide_moves, u.s_length, h, budget, _time.perf_counter()
             )
