@@ -8,7 +8,7 @@ are decided structurally (e is transcendental, so equal values have equal
 term lists); inequalities fall back to interval evaluation at increasing
 precision, which always terminates on distinct values.
 
-mpmath is imported inside the four functions that evaluate floats or
+mpmath is imported inside the three functions that evaluate floats or
 intervals, so that importing the library does not load it (about 4 MB of
 resident memory) for callers that never reach them, such as length
 searches.
@@ -53,11 +53,7 @@ class ExpScalar:
 
     def to_float(self) -> float:
         """Float value; may under/overflow to 0.0 or inf for huge exponents."""
-        import mpmath
-
-        with mpmath.workprec(80):
-            return float(mpmath.mpf(self.mantissa.numerator)
-                         / self.mantissa.denominator * mpmath.exp(self.exponent))
+        return ExpSum.of(self).to_float()
 
     def __str__(self) -> str:
         if self.exponent == 0:

@@ -81,6 +81,9 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce_int(value, name: str) -> int:
+    # int() would truncate a JSON float and accept a JSON bool
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -108,6 +111,8 @@ def build_run_config(args, default_mode: str) -> RunConfig:
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     max_ms = pick(args.max_ms, "max_ms", None)
+    if isinstance(max_ms, bool):  # float() would read a JSON bool as 0 or 1
+        raise ValueError(f"max_ms must be a number, got {max_ms!r}")
     max_ms = float(max_ms) if max_ms is not None else None
     if max_ms is not None and not max_ms > 0:
         raise ValueError(f"max_ms must be > 0, got {max_ms}")
@@ -302,6 +307,8 @@ def cmd_verify_family(args) -> int:
             ns = _parse_int_list(args.n, "--n")
             if len(ns) != 1:
                 raise ValueError("chain ranges take a single --n")
+            if any(r < 1 for r in rs):
+                raise ValueError("--r must be >= 1")
             specs = [
                 _minimal_chain_blocks(r, ns[0], cfg.params) for r in rs
             ]

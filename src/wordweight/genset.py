@@ -45,16 +45,6 @@ class GenSetParams:
 
 
 @dataclass(frozen=True)
-class LetterGen:
-    """A standard letter used as a generator."""
-
-    letter: Letter
-
-    def __str__(self) -> str:
-        return str(self.letter)
-
-
-@dataclass(frozen=True)
 class BigGen:
     """An indexed generator in conjugator normal form.
 
@@ -70,9 +60,7 @@ class BigGen:
         return f"x({self.conj or '1'}, {self.index})"
 
 
-Gen = Union[LetterGen, BigGen]
-
-LETTER_GENS = tuple(LetterGen(l) for l in LETTERS)
+Gen = Union[Letter, BigGen]
 
 
 def _check_index(j: int, params: GenSetParams) -> None:
@@ -103,8 +91,8 @@ def normalize_conjugator(v: Word, j: int, params: GenSetParams) -> BigGen:
 
 def expand_generator(gen: Gen, params: GenSetParams) -> Word:
     """The reduced word of a generator (one letter, or the full expansion)."""
-    if isinstance(gen, LetterGen):
-        return gen.letter.word()
+    if isinstance(gen, Letter):
+        return gen.word()
     w = gen.conj
     j = gen.index
     inner = Word((("b", params.inner_exp(j)),))
@@ -221,27 +209,15 @@ def check_family_size(params: GenSetParams, j: int, max_count: int) -> None:
         raise BudgetExhausted(f"index-{j} family exceeds max_count={max_count}")
 
 
-def enumerate_generators(
-    params: GenSetParams,
-    j: int,
-    max_count: int | None = None,
-    complete: bool = False,
-) -> Iterator[BigGen]:
+def enumerate_generators(params: GenSetParams, j: int) -> Iterator[BigGen]:
     """Yield the distinct index-j generators, length-lex in the conjugator.
 
     Conjugators ending in b^(+-1) normalize to shorter ones already seen,
     so they are skipped outright; the rest are pairwise distinct
-    (``family_size``). With ``complete=True``, raises BudgetExhausted
-    before yielding anything if the family does not fit within
-    ``max_count``; otherwise at most ``max_count`` generators are yielded.
+    (``family_size``). The stream is as long as the family; bound it
+    first with ``check_family_size``.
     """
     _check_index(j, params)
-    if max_count is not None and complete:
-        check_family_size(params, j, max_count)
-    yielded = 0
     for length in range(params.conjugator_bound(j) + 1):
         for v in _words_of_length(length):
-            if max_count is not None and yielded >= max_count:
-                return
-            yielded += 1
             yield BigGen(v, j)

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -27,7 +28,6 @@ from .genset import (
     BigGen,
     Gen,
     GenSetParams,
-    LetterGen,
     _check_index,
     expand_generator,
     normalize_conjugator,
@@ -35,8 +35,8 @@ from .genset import (
 from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
 from .words import IDENTITY, Letter, Word, hom_value
 
-C_POS = LetterGen(Letter("c", 1))
-B_NEG = LetterGen(Letter("b", -1))
+C_POS = Letter("c", 1)
+B_NEG = Letter("b", -1)
 
 
 class Direction(Enum):
@@ -95,25 +95,20 @@ def eval_certificate(cert: Certificate, u: Word, params: GenSetParams) -> int:
 
 
 @lru_cache(maxsize=None)
-def certificate_pool(base: int, span: int = 3) -> tuple[Certificate, ...]:
-    """Every valid primitive certificate with coefficients in [-span, span].
+def certificate_pool(base: int) -> tuple[Certificate, ...]:
+    """Every valid primitive functional with coefficients in [-3, 3], once,
+    as a LOWER certificate, in coefficient order.
 
+    The UPPER certificate c bounds exactly like the LOWER certificate -c,
+    and one is valid iff the other is, so LOWER alone loses no bound.
     Scaled coefficient triples give the same bound, so only primitive
-    triples are kept. Deterministic order.
+    triples are kept.
     """
-    pool = []
-    for ca in range(-span, span + 1):
-        for cb in range(-span, span + 1):
-            for cc in range(-span, span + 1):
-                if (ca, cb, cc) == (0, 0, 0) or gcd(ca, cb, cc) != 1:
-                    continue
-                slope = ca * base + cb * (base + 1)
-                if slope <= 0:
-                    pool.append(Certificate((ca, cb, cc), Direction.UPPER))
-                if slope >= 0:
-                    pool.append(Certificate((ca, cb, cc), Direction.LOWER))
-    pool.sort(key=lambda c: (c.direction.value, c.coeffs))
-    return tuple(pool)
+    return tuple(
+        Certificate(coeffs, Direction.LOWER)
+        for coeffs in product(range(-3, 4), repeat=3)
+        if gcd(*coeffs) == 1 and coeffs[0] * base + coeffs[1] * (base + 1) >= 0
+    )
 
 
 def certified_power_collapse(
@@ -143,14 +138,12 @@ def certified_power_collapse(
 
 @lru_cache(maxsize=None)
 def _pool_rows(base: int) -> tuple[tuple[int, int, int, int], ...]:
-    """``certificate_pool(base)`` as (ca, cb, cc, cap) rows, with LOWER
-    certificates negated so that every row bounds by ceil(value / cap)."""
-    rows = []
-    for cert in certificate_pool(base):
-        sign = -1 if cert.direction is Direction.LOWER else 1
-        ca, cb, cc = (sign * c for c in cert.coeffs)
-        rows.append((ca, cb, cc, max(abs(ca), abs(cb), abs(cc))))
-    return tuple(rows)
+    """``certificate_pool(base)`` negated, as (ca, cb, cc, cap) rows, so
+    that every row bounds by ceil(value / cap)."""
+    return tuple(
+        (-ca, -cb, -cc, max(abs(ca), abs(cb), abs(cc)))
+        for ca, cb, cc in (cert.coeffs for cert in certificate_pool(base))
+    )
 
 
 def pool_bound(ab: tuple[int, int, int], base: int) -> tuple[int, int | None]:
@@ -220,11 +213,9 @@ def verify_factorization(
 
 def letters_factorization(u: Word) -> Factorization:
     """The trivial witness spelling u letter by letter."""
-    items = []
-    for base, exp in u.runs:
-        sign = 1 if exp > 0 else -1
-        items.append((LetterGen(Letter(base, sign)), abs(exp)))
-    return Factorization(tuple(items))
+    return Factorization(
+        tuple((Letter(base, 1 if exp > 0 else -1), abs(exp)) for base, exp in u.runs)
+    )
 
 
 def _blocks_factorization(
@@ -321,7 +312,7 @@ def _even_power_index(value: int, base: int) -> int | None:
 
 
 def _scan_blocks(
-    u: Word, params: GenSetParams, allow_adjacent: bool
+    u: Word, params: GenSetParams
 ) -> tuple[int, list[tuple[int, int]]] | None:
     """Match u against c^(k0) [a^(B^2n) b^(B^2n) c^(k_i)]*; returns
     (k0, blocks) or None. Block indices must be >= jmin (and under any cap)."""
@@ -351,8 +342,6 @@ def _scan_blocks(
             k = runs[i][1]
             i += 1
         blocks.append((n, k))
-        if i < len(runs) and k == 0 and not allow_adjacent:
-            return None
     if not blocks:
         return None
     return k0, blocks
@@ -360,7 +349,7 @@ def _scan_blocks(
 
 def shape_witness(u: Word, params: GenSetParams) -> Factorization | None:
     """Self-verifying upper-bound witness for block-shaped words, any base."""
-    scan = _scan_blocks(u, params, allow_adjacent=True)
+    scan = _scan_blocks(u, params)
     return None if scan is None else _blocks_factorization(*scan, params)
 
 
@@ -385,13 +374,15 @@ def family_length(
         return k, Factorization(((C_POS, k),))
     if params.base != 5 or params.jmin != 2:
         return None
-    scan = _scan_blocks(u, params, allow_adjacent=False)
+    scan = _scan_blocks(u, params)
     if scan is None:
         return None
     k0, blocks = scan
     if len(blocks) > 1:
         if k0 != 0 or blocks[-1][1] < 1:
             return None
+        # also refuses adjacent blocks: every earlier separator must
+        # exceed 3 B^(2n) > 0
         try:
             check_chain_constraint(blocks, params)
         except ConstraintViolation:
@@ -422,13 +413,9 @@ def single_biggen_cancellation(
     if len(big_positions) != 1:
         return None
     idx = big_positions[0]
-    prefix = IDENTITY
-    for gen, mult in f.items[:idx]:
-        prefix = prefix * expand_generator(gen, params) ** mult
+    prefix, _ = verify_factorization(Factorization(f.items[:idx]), params)
     expansion = expand_generator(f.items[idx][0], params)
-    suffix = IDENTITY
-    for gen, mult in f.items[idx + 1 :]:
-        suffix = suffix * expand_generator(gen, params) ** mult
+    suffix, _ = verify_factorization(Factorization(f.items[idx + 1 :]), params)
     merged = prefix * expansion
     from_left = (prefix.s_length + expansion.s_length - merged.s_length) // 2
     full = merged * suffix
@@ -524,6 +511,10 @@ def xlength(
     engine: best-first, deepening, or dual (both, asserting agreement).
     """
     t0 = time.perf_counter()
+    if mode not in ("family", "bracket", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if algorithm not in ("best-first", "deepening", "dual"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     budget = budget or SearchBudget()
 
     def result(lower, upper, witness, method, exhaustive=False,
@@ -553,9 +544,6 @@ def xlength(
         _, cert = best_certificate_bound(u, params)
         return result(length, length, witness, "family")
 
-    if mode not in ("bracket", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     lower, cert, upper, witness = _bracket_parts(u, params)
     if lower == upper or mode == "bracket":
         return result(
@@ -575,8 +563,6 @@ def xlength(
         outcomes.append(best_first(u, moves, cap, heuristic, budget, t0))
     if algorithm in ("deepening", "dual"):
         outcomes.append(deepening(u, moves, cap, heuristic, budget, t0))
-    if not outcomes:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
 
     nodes = sum(o.nodes for o in outcomes)
     found = [o for o in outcomes if o.cost is not None]

@@ -18,14 +18,13 @@ from heapq import heappop, heappush
 from .genset import (
     Gen,
     GenSetParams,
-    LETTER_GENS,
     check_family_size,
     enumerate_generators,
     expand_generator,
     longest_expansion,
     max_usable_index,
 )
-from .words import Word
+from .words import LETTERS, Word
 
 _INF = float("inf")
 
@@ -57,7 +56,7 @@ class Outcome:
     lower_bound: int  # proven even when no factorization was found
 
 
-_LETTER_MOVES = tuple(Move(gen, ~gen.letter.word()) for gen in LETTER_GENS)
+_LETTER_MOVES = tuple(Move(letter, ~letter.word()) for letter in LETTERS)
 
 
 @lru_cache(maxsize=16)
@@ -136,7 +135,7 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
         t >= M d_jmin with (2B+1) d_jmin = T, give
         M + R >= M (T+1) - theta: H(M) is at least the counting term at
         m = M;
-      * every pool row psi (LOWER certificates negated) has psi(g) <= 0
+      * every pool row psi (a negated LOWER certificate) has psi(g) <= 0
         and coefficients of size at most cap, so for t >= 0
         psi(ab) = psi(ab - t g) + t psi(g) <= cap (|nc| + R(t)), and the
         row's bound ceil(psi(ab) / cap) is at most h.

@@ -132,6 +132,13 @@ class TestVerifyFamily:
         code, _, _ = run(capsys, "verify-family", "--family", "block", "--n", "x")
         assert code == 2
 
+    def test_chain_length_below_one_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify-family", "--family", "chain", "--n", "2", "--r", "0,-3,1"
+        )
+        assert code == 2 and not out
+        assert err == "error: --r must be >= 1\n"
+
 
 class TestRadicalDemo:
     def test_default_run(self, capsys):
@@ -196,6 +203,29 @@ class TestConfig:
         code, report = run_json(capsys, "xlen", "--config", str(cfg), "a b")
         assert code == 0
         assert report["config"]["max_nodes"] == 777
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("base", 2.9, "base must be an integer, got 2.9"),
+            ("base", 2.0, "base must be an integer, got 2.0"),
+            ("base", True, "base must be an integer, got True"),
+            ("max_nodes", 777.5, "max_nodes must be an integer, got 777.5"),
+            ("max_ms", True, "max_ms must be a number, got True"),
+        ],
+        ids=[
+            "base-float", "base-whole-float", "base-bool", "max_nodes-float",
+            "max_ms-bool",
+        ],
+    )
+    def test_json_config_wrong_type_exit_2(
+        self, capsys, tmp_path, key, value, message
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "xlen", "--config", str(cfg), "c^4")
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
 
     def test_csv_output_to_file(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"

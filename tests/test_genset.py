@@ -7,7 +7,7 @@ from wordweight.errors import BudgetExhausted, ConjugatorTooLong, IndexTooSmall
 from wordweight.genset import (
     BigGen,
     GenSetParams,
-    LETTER_GENS,
+    check_family_size,
     enumerate_generators,
     expand_generator,
     family_size,
@@ -122,7 +122,7 @@ class TestExpansion:
         )
 
     def test_letter_gen(self):
-        assert expand_generator(LETTER_GENS[1], P5) == W("a^-1")
+        assert expand_generator(LETTERS[1], P5) == W("a^-1")
 
     def test_expansion_length_formula(self):
         # Writing the normal-form conjugator as a^k w0 (k >= 0 maximal,
@@ -153,7 +153,7 @@ class TestExpansion:
 
 class TestEnumeration:
     def test_base2_index1_complete_count(self):
-        gens = list(enumerate_generators(P2, 1, max_count=100, complete=True))
+        gens = list(enumerate_generators(P2, 1))
         assert len(gens) == 25
 
     def test_matches_bruteforce_expansion_set(self):
@@ -162,13 +162,13 @@ class TestEnumeration:
         oracle = {
             raw_expansion(v, 1, P2) for v in all_reduced_words(P2.conjugator_bound(1))
         }
-        gens = list(enumerate_generators(P2, 1, max_count=100, complete=True))
+        gens = list(enumerate_generators(P2, 1))
         assert {expand_generator(g, P2) for g in gens} == oracle
         assert len(oracle) == 25
 
     def test_pairwise_distinct_and_deterministic(self):
-        a = list(enumerate_generators(P2, 1, max_count=100, complete=True))
-        b = list(enumerate_generators(P2, 1, max_count=100, complete=True))
+        a = list(enumerate_generators(P2, 1))
+        b = list(enumerate_generators(P2, 1))
         assert a == b
         expansions = [expand_generator(g, P2) for g in a]
         assert len(set(expansions)) == len(expansions)
@@ -183,12 +183,8 @@ class TestEnumeration:
             W("c^-1"),
         ]
 
-    def test_truncation_without_complete(self):
-        gens = list(enumerate_generators(P2, 1, max_count=10))
-        assert len(gens) == 10
-
     def test_stream_prefix_at_canonical_base(self):
-        gens = list(enumerate_generators(P5, 2, max_count=10))
+        gens = list(itertools.islice(enumerate_generators(P5, 2), 10))
         assert len(gens) == 10
         assert gens[0].conj == IDENTITY and gens[0].index == 2
         expansions = [expand_generator(g, P5) for g in gens]
@@ -196,9 +192,9 @@ class TestEnumeration:
 
     def test_budget_exhausted_when_complete_demanded(self):
         with pytest.raises(BudgetExhausted):
-            list(enumerate_generators(P2, 1, max_count=10, complete=True))
+            check_family_size(P2, 1, 10)
         with pytest.raises(BudgetExhausted):
-            list(enumerate_generators(P5, 2, max_count=1000, complete=True))
+            check_family_size(P5, 2, 1000)
 
     def test_index_below_jmin(self):
         with pytest.raises(IndexTooSmall):
@@ -222,12 +218,12 @@ class TestEnumeration:
             assert longest_expansion(params, j) == listed == value
 
     def test_budget_refused_before_anything_is_yielded(self):
-        # the index-5 family at base 5 has 5^3125 generators; listing even
-        # max_count of them is not attempted
-        stream = enumerate_generators(P5, 5, max_count=10**6, complete=True)
+        # the index-5 family at base 5 has 5^3125 generators; its size is
+        # refused from the closed form, without listing or building it
         with pytest.raises(BudgetExhausted, match="index-5 .* max_count=1000000$"):
-            next(stream)
-        assert list(enumerate_generators(P2, 1, max_count=25, complete=True))
+            check_family_size(P5, 5, 10**6)
+        check_family_size(P2, 1, 25)
+        assert len(list(enumerate_generators(P2, 1))) == 25
 
 
 class TestMaxUsableIndex:

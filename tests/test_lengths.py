@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -57,6 +58,28 @@ class TestPoolBound:
         bound, cert = best_certificate_bound(u, params)
         assert bound == max(values)
         assert cert == (pool[values.index(bound)] if bound else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduced_words, st.sampled_from([P2, P5]))
+    def test_pool_bound_dominates_every_certificate(self, u, params):
+        # completeness: no valid certificate in [-3, 3]^3, in either
+        # direction and primitive or not, beats the pool
+        best = best_certificate_bound(u, params)[0]
+        for coeffs in itertools.product(range(-3, 4), repeat=3):
+            for direction in Direction:
+                try:
+                    value = eval_certificate(Certificate(coeffs, direction), u, params)
+                except InvalidCertificate:
+                    continue
+                assert value <= best
+
+    def test_pool_holds_each_functional_once_as_lower(self):
+        for base, size in [(2, 153), (3, 146), (5, 146)]:
+            pool = certificate_pool(base)
+            assert len(pool) == size
+            assert all(cert.direction is Direction.LOWER for cert in pool)
+            coeffs = [cert.coeffs for cert in pool]
+            assert coeffs == sorted(set(coeffs))
 
     @settings(max_examples=150, deadline=None)
     @given(reduced_words, st.sampled_from([P2, P5]))
@@ -184,7 +207,16 @@ class TestFamilyRecognizer:
         assert family_length(W("a^4 b^4"), P2) is None
 
     def test_non_family_shapes_refused(self):
-        for text in ["a", "a^625 b^624", "a^625 b^625 c^-1", "b^625 a^625", "a^625 b^625 a"]:
+        for text in [
+            "a",
+            "a^625 b^624",
+            "a^625 b^625 c^-1",
+            "b^625 a^625",
+            "a^625 b^625 a",
+            # adjacent blocks: a separator 0 before the last block
+            "a^625 b^625 a^625 b^625 c",
+            "c^2 a^625 b^625 a^15625 b^15625",
+        ]:
             assert family_length(W(text), P5) is None
 
     def test_leading_c_on_chain_refused(self):
@@ -274,6 +306,16 @@ class TestXLength:
         )
         assert not r.exact and r.budget_exhausted
         assert r.lower <= 126 <= r.upper
+
+    @pytest.mark.parametrize(
+        "u,params,budget",
+        [(W("c^3"), P2, None), (W("a^625 b^625"), P5, SearchBudget(max_nodes=500))],
+    )
+    def test_unknown_algorithm_refused_without_search(self, u, params, budget):
+        # neither input reaches an engine: c^3 collapses, and the index-2
+        # family at base 5 is refused by its size
+        with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+            xlength(u, params, budget=budget, algorithm="bogus")
 
     def test_engines_agree_on_random_words(self):
         rng = random.Random(11)
