@@ -22,7 +22,14 @@ from typing import Iterable, Mapping
 
 from .errors import PreconditionViolated, UnknownLength
 from .genset import GenSetParams, _check_index, normalize_conjugator, expand_generator
-from .lengths import SearchBudget, _check_chain, family_length, xlength
+from .lengths import (
+    SearchBudget,
+    _blocks_word,
+    _check_chain,
+    _require_canonical,
+    family_length,
+    xlength,
+)
 from .words import IDENTITY, Word
 
 
@@ -417,14 +424,6 @@ def pair_omega(f: WeightedVector) -> ExpSum:
 # --- decay bounds for sandwiched products --------------------------------------
 
 
-def _require_canonical(params: GenSetParams) -> None:
-    if params.base != 5 or params.jmin != 2:
-        raise PreconditionViolated(
-            "decay bounds use the proven closed forms, which require "
-            f"base 5 and jmin 2 (got base {params.base}, jmin {params.jmin})"
-        )
-
-
 def min_tail_index(j: int, u: Word, params: GenSetParams) -> int:
     """Smallest m with base^m >= |u| (letters) and m > j+1."""
     m = j + 2
@@ -435,8 +434,8 @@ def min_tail_index(j: int, u: Word, params: GenSetParams) -> int:
 
 
 def block_word(n: int, params: GenSetParams) -> Word:
-    outer = params.outer_exp(n)
-    return Word((("a", outer), ("b", outer)))
+    """The block a^(B^(2n)) b^(B^(2n))."""
+    return _blocks_word(0, [(n, 0)], params)
 
 
 def sandwich_decay_bound(
@@ -468,7 +467,7 @@ def sandwich_decay_bound(
         * u
     )
     gen = normalize_conjugator(~u, k, params)
-    target = Word((("a", outer_j), ("b", outer_j))) * u * block_word(k, params)
+    target = block_word(j, params) * u * block_word(k, params)
     if rearranged * expand_generator(gen, params) != target:
         raise ArithmeticError("rearranged witness failed to reproduce the product")
     return n_min, -1 - params.inner_exp(j)

@@ -27,15 +27,18 @@ from .algebra import (
     spectral_probe,
     vector_to_literal,
 )
-from .errors import PreconditionViolated, UnknownLength
+from .errors import UnknownLength
 from .genset import GenSetParams, _check_index
 from .lengths import (
     LengthResult,
     SearchBudget,
+    _blocks_length,
+    _blocks_word,
+    _min_separator,
+    _require_canonical,
     best_certificate_bound,
     block_witness,
     chain_witness,
-    chain_word,
     verify_factorization,
     xlength,
 )
@@ -217,11 +220,14 @@ def cmd_xlen(args) -> int:
 
 
 def _family_row(
-    cfg: RunConfig, row: dict, witness, target: Word, expected: int, with_oracle: bool
+    cfg: RunConfig, row: dict, witness, k0: int, blocks, with_oracle: bool
 ) -> dict:
-    """Fill a verify-family row: re-multiplied witness, expected symbol
-    count, certificate bound and, on request, the exact-search oracle."""
+    """Fill a verify-family row for the word c^(k0) [block c^k]*: the
+    re-multiplied witness, the closed-form symbol count, the certificate
+    bound and, on request, the exact-search oracle."""
     params = cfg.params
+    target = _blocks_word(k0, blocks, params)
+    expected = _blocks_length(k0, blocks, params)
     product, count = verify_factorization(witness, params)
     cert_lower, _ = best_certificate_bound(target, params)
     row.update(
@@ -242,55 +248,20 @@ def _family_row(
     return row
 
 
-def _block_rows(cfg: RunConfig, ns, ks, with_oracle: bool) -> list[dict]:
-    params = cfg.params
-    return [
-        _family_row(
-            cfg,
-            {"family": "block", "n": n, "k": k},
-            block_witness(n, k, params),
-            Word.from_runs(
-                ([("c", k)] if k else [])
-                + [("a", params.outer_exp(n)), ("b", params.outer_exp(n))]
-            ),
-            k + params.inner_exp(n) + 1,
-            with_oracle,
-        )
-        for n in ns
-        for k in ks
-    ]
-
-
-def _minimal_chain_blocks(r: int, n: int, params: GenSetParams) -> list[tuple[int, int]]:
-    # smallest admissible separators: each must exceed three times the
-    # next block's outer exponent; the final one only needs to be >= 1.
-    ks = [3 * params.outer_exp(n) + 1] * (r - 1) + [1]
-    return [(n, k) for k in ks]
-
-
-def _chain_rows(cfg: RunConfig, specs, with_oracle: bool) -> list[dict]:
-    params = cfg.params
-    return [
-        _family_row(
-            cfg,
-            {"family": "chain", "blocks": [list(b) for b in blocks], "r": len(blocks)},
-            chain_witness(blocks, params),
-            chain_word(blocks, params),
-            sum(params.inner_exp(n) + 1 + k for n, k in blocks),
-            with_oracle,
-        )
-        for blocks in specs
-    ]
-
-
 def cmd_verify_family(args) -> int:
     cfg = build_run_config(args, default_mode="bracket")
+    params = cfg.params
     if args.family == "block":
         ns = _parse_int_list(args.n, "--n")
         ks = _parse_int_list(args.k, "--k")
         if not ns or not ks:
             raise ValueError("--n and --k must be non-empty")
-        rows = _block_rows(cfg, ns, ks, args.oracle)
+        rows = [
+            _family_row(cfg, {"family": "block", "n": n, "k": k},
+                        block_witness(n, k, params), k, [(n, 0)], args.oracle)
+            for n in ns
+            for k in ks
+        ]
     else:
         if args.blocks:
             specs = []
@@ -309,10 +280,15 @@ def cmd_verify_family(args) -> int:
                 raise ValueError("chain ranges take a single --n")
             if any(r < 1 for r in rs):
                 raise ValueError("--r must be >= 1")
-            specs = [
-                _minimal_chain_blocks(r, ns[0], cfg.params) for r in rs
-            ]
-        rows = _chain_rows(cfg, specs, args.oracle)
+            # the smallest admissible separators; the last needs only >= 1
+            n = ns[0]
+            specs = [[(n, _min_separator(n, params))] * (r - 1) + [(n, 1)] for r in rs]
+        rows = [
+            _family_row(cfg, {"family": "chain", "blocks": [list(b) for b in blocks],
+                              "r": len(blocks)},
+                        chain_witness(blocks, params), 0, blocks, args.oracle)
+            for blocks in specs
+        ]
     report = _report_skeleton("verify-family", cfg)
     report["rows"] = rows
     report["all_ok"] = all(row["sandwich_ok"] for row in rows)
@@ -324,10 +300,7 @@ def cmd_radical_demo(args) -> int:
     cfg = build_run_config(args, default_mode="family")
     params = cfg.params
     js = _parse_int_list(args.j, "--j")
-    if params.base != 5 or params.jmin != 2:
-        raise PreconditionViolated(
-            "the demo relies on the proven closed forms: base 5, jmin 2"
-        )
+    _require_canonical(params)
     for j in js:
         _check_index(j, params)
     if args.r < 1 or args.kmax < 1:
@@ -351,7 +324,7 @@ def cmd_radical_demo(args) -> int:
                 }
             )
 
-    cyclic_k = 3 * params.outer_exp(2) + 1
+    cyclic_k = _min_separator(2, params)
     pairing_rows = []
     for t in range(1, args.kmax + 1):
         vec = chain_product([(2, cyclic_k)] * t, provider)

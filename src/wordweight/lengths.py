@@ -22,6 +22,7 @@ from .errors import (
     BudgetExhausted,
     ConstraintViolation,
     InvalidCertificate,
+    PreconditionViolated,
     UnknownLength,
 )
 from .genset import (
@@ -218,6 +219,45 @@ def letters_factorization(u: Word) -> Factorization:
     )
 
 
+# --- the block family ----------------------------------------------------------
+#
+# The words c^(k0) [a^(B^(2n)) b^(B^(2n)) c^(k)]* with blocks (n, k): their
+# word, witness, length and separator rule, and the parameters at which the
+# length is proven, are each stated once, here.
+
+
+def _require_canonical(params: GenSetParams) -> None:
+    """Raise unless params are where the closed forms are proven."""
+    if params.base != 5 or params.jmin != 2:
+        raise PreconditionViolated(
+            "the proven closed forms require base 5 and jmin 2 "
+            f"(got base {params.base}, jmin {params.jmin})"
+        )
+
+
+def _min_separator(n: int, params: GenSetParams) -> int:
+    """Smallest separator power allowed before an index-n block: one more
+    than three times its outer exponent."""
+    return 3 * params.outer_exp(n) + 1
+
+
+def _blocks_word(
+    k0: int, blocks: list[tuple[int, int]], params: GenSetParams
+) -> Word:
+    """The word c^(k0) [a^(B^(2n)) b^(B^(2n)) c^(k)]* with blocks (n, k)."""
+    runs = [("c", k0)]
+    for n, k in blocks:
+        runs += [("a", params.outer_exp(n)), ("b", params.outer_exp(n)), ("c", k)]
+    return Word.from_runs(runs)
+
+
+def _blocks_length(
+    k0: int, blocks: list[tuple[int, int]], params: GenSetParams
+) -> int:
+    """Symbol count of the witness below: k0 + sum(B^(2n-1) + 1 + k)."""
+    return k0 + sum(params.inner_exp(n) + 1 + k for n, k in blocks)
+
+
 def _blocks_factorization(
     k0: int, blocks: list[tuple[int, int]], params: GenSetParams
 ) -> Factorization:
@@ -249,10 +289,10 @@ def check_chain_constraint(
     for i in range(1, len(blocks)):
         n_i = blocks[i][0]
         k_prev = blocks[i - 1][1]
-        if k_prev <= 3 * params.outer_exp(n_i):
+        if k_prev < _min_separator(n_i, params):
             raise ConstraintViolation(
                 f"separator k_{i} = {k_prev} is not greater than "
-                f"3*B^(2*{n_i}) = {3 * params.outer_exp(n_i)}",
+                f"3*B^(2*{n_i}) = {_min_separator(n_i, params) - 1}",
                 index=i + 1,
             )
 
@@ -285,14 +325,7 @@ def chain_witness(
 
 def chain_word(blocks: list[tuple[int, int]], params: GenSetParams) -> Word:
     """The chained word itself, built directly from the parameters."""
-    runs: list[tuple[str, int]] = []
-    for n, k in blocks:
-        outer = params.outer_exp(n)
-        runs.append(("a", outer))
-        runs.append(("b", outer))
-        if k:
-            runs.append(("c", k))
-    return Word.from_runs(runs)
+    return _blocks_word(0, blocks, params)
 
 
 # --- structural recognizers --------------------------------------------------
@@ -365,14 +398,17 @@ def family_length(
       * chains of such blocks with every separator >= 1 satisfying the
         separator constraint, same parameters.
 
-    Each has length k0 + sum(5^(2n-1) + 1 + k) over its blocks (n, k).
+    Each has length ``_blocks_length``: k0 + sum(5^(2n-1) + 1 + k) over
+    its blocks (n, k).
     """
     if u.is_identity():
         return 0, Factorization()
     if len(u.runs) == 1 and u.runs[0][0] == "c" and u.runs[0][1] > 0:
         k = u.runs[0][1]
         return k, Factorization(((C_POS, k),))
-    if params.base != 5 or params.jmin != 2:
+    try:
+        _require_canonical(params)
+    except PreconditionViolated:
         return None
     scan = _scan_blocks(u, params)
     if scan is None:
@@ -387,8 +423,7 @@ def family_length(
             check_chain_constraint(blocks, params)
         except ConstraintViolation:
             return None
-    length = k0 + sum(params.inner_exp(n) + 1 + k for n, k in blocks)
-    return length, _blocks_factorization(k0, blocks, params)
+    return _blocks_length(k0, blocks, params), _blocks_factorization(k0, blocks, params)
 
 
 def single_biggen_cancellation(
@@ -564,6 +599,14 @@ def xlength(
     if algorithm in ("deepening", "dual"):
         outcomes.append(deepening(u, moves, cap, heuristic, budget, t0))
 
+    def checked(path, cost: int) -> Factorization:
+        # every engine path, proven or not, is re-multiplied before use
+        witness = Factorization.from_symbols(path)
+        product, count = verify_factorization(witness, params)
+        if product != u or count != cost:
+            raise ArithmeticError(f"search produced an invalid witness for {u!r}")
+        return witness
+
     nodes = sum(o.nodes for o in outcomes)
     found = [o for o in outcomes if o.cost is not None]
     if found:
@@ -574,14 +617,10 @@ def xlength(
                 f"{sorted(costs)} (this is a bug)"
             )
         best = found[0]
-        path_witness = Factorization.from_symbols(best.path)
-        product, count = verify_factorization(path_witness, params)
-        if product != u or count != best.cost:
-            raise ArithmeticError(f"search produced an invalid witness for {u!r}")
         return result(
             best.cost,
             best.cost,
-            path_witness,
+            checked(best.path, best.cost),
             "dual" if algorithm == "dual" else "search",
             exhaustive=True,
             # In dual mode, flag when the cross-check engine ran out of
@@ -595,11 +634,8 @@ def xlength(
         # an unproven factorization found before the budget ran out still
         # tightens the upper end of the bracket
         if outcome.path is not None and len(outcome.path) < upper:
-            candidate = Factorization.from_symbols(outcome.path)
-            product, count = verify_factorization(candidate, params)
-            if product == u and count < upper:
-                upper = count
-                witness = candidate
+            upper = len(outcome.path)
+            witness = checked(outcome.path, upper)
     proven = min(proven, upper)
     return result(
         proven, upper, witness, "budget", budget_exhausted=True, nodes=nodes

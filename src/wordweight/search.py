@@ -308,7 +308,6 @@ def deepening(
 
     bound = h(u)
     completed = bound - 1
-    exhausted_graph = False
     while bound <= cap:
         overshoot = _INF
         try:
@@ -318,8 +317,7 @@ def deepening(
             return Outcome(None, None, nodes, completed + 1)
         completed = bound
         if overshoot is _INF:
-            exhausted_graph = True
-            break
+            # Whole graph below the cap explored without reaching the target.
+            return Outcome(None, None, nodes, cap + 1)
         bound = int(overshoot)
-    lower = cap + 1 if exhausted_graph else max(bound, completed + 1)
-    return Outcome(None, None, nodes, lower)
+    return Outcome(None, None, nodes, bound)

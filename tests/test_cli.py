@@ -117,6 +117,25 @@ class TestVerifyFamily:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags,n,threshold", [([], 2, 1875), (["--base", "2", "--jmin", "1"], 1, 12)]
+    )
+    def test_chain_separator_boundary(self, capsys, flags, n, threshold):
+        code, out, err = run(
+            capsys, "verify-family", "--family", "chain", *flags,
+            "--blocks", f"{n}:{threshold},{n}:1",
+        )
+        assert code == 2 and not out
+        assert err == (
+            f"error: separator k_1 = {threshold} is not greater than "
+            f"3*B^(2*{n}) = {threshold}\n"
+        )
+        code, report = run_json(
+            capsys, "verify-family", "--family", "chain", *flags,
+            "--blocks", f"{n}:{threshold + 1},{n}:1",
+        )
+        assert code == 0 and report["all_ok"]
+
     def test_block_oracle_small_base(self, capsys):
         code, report = run_json(
             capsys, "verify-family", "--family", "block", "--base", "2",
@@ -160,8 +179,12 @@ class TestRadicalDemo:
         assert err == "error: index 4 above jmax_cap=3\n"
 
     def test_wrong_base_exit_2(self, capsys):
-        code, _, _ = run(capsys, "radical-demo", "--base", "2", "--jmin", "1")
-        assert code == 2
+        code, out, err = run(capsys, "radical-demo", "--base", "2", "--jmin", "1")
+        assert code == 2 and not out
+        assert err == (
+            "error: the proven closed forms require base 5 and jmin 2 "
+            "(got base 2, jmin 1)\n"
+        )
 
 
 class TestConfig:

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordweight import lengths
 from wordweight.errors import (
     ConstraintViolation,
     IndexTooSmall,
@@ -13,6 +14,10 @@ from wordweight.errors import (
 )
 from wordweight.genset import BigGen, GenSetParams, expand_generator
 from wordweight.lengths import (
+    _blocks_factorization,
+    _blocks_length,
+    _blocks_word,
+    _scan_blocks,
     Certificate,
     Direction,
     Factorization,
@@ -31,12 +36,13 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight.search import build_moves, make_heuristic
-from wordweight.words import IDENTITY, LETTERS, Word
+from wordweight.search import Outcome, build_moves, make_heuristic
+from wordweight.words import IDENTITY, LETTERS, Letter, Word
 
 W = Word.parse
 P5 = GenSetParams(base=5, jmin=2)
 P2 = GenSetParams(base=2, jmin=1)
+P3 = GenSetParams(base=3, jmin=1)
 
 PHI_C_UPPER = Certificate((0, 0, 1), Direction.UPPER)
 PSI_LOWER = Certificate((0, 1, -1), Direction.LOWER)
@@ -224,6 +230,70 @@ class TestFamilyRecognizer:
         assert family_length(u, P5) is None
 
 
+class TestBlockFamily:
+    """The closed forms of c^(k0) [a^(B^2n) b^(B^2n) c^k]*."""
+
+    @pytest.mark.parametrize("params,n", [(P2, 1), (P2, 2), (P5, 2), (P5, 3)])
+    def test_separator_boundary(self, params, n):
+        threshold = 3 * params.outer_exp(n)
+        with pytest.raises(ConstraintViolation) as exc:
+            chain_witness([(n, threshold + 1), (n, threshold), (n, 1)], params)
+        assert exc.value.index == 3
+        assert str(exc.value) == (
+            f"separator k_2 = {threshold} is not greater than "
+            f"3*B^(2*{n}) = {threshold}"
+        )
+        blocks = [(n, threshold + 1), (n, 1)]
+        wit = chain_witness(blocks, params)
+        assert verify_factorization(wit, params) == (
+            chain_word(blocks, params), _blocks_length(0, blocks, params)
+        )
+        if params == P5:
+            assert family_length(chain_word([(n, threshold), (n, 1)], P5), P5) is None
+            assert family_length(chain_word(blocks, P5), P5)[0] == (
+                2 * (5 ** (2 * n - 1) + 1) + threshold + 2
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([P2, P3, P5]),
+        st.integers(0, 40),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=4
+        ),
+    )
+    def test_round_trip(self, params, k0, raw):
+        blocks = [(params.jmin + dn, k) for dn, k in raw]
+        u = _blocks_word(k0, blocks, params)
+        assert _scan_blocks(u, params) == (k0, blocks)
+        closed = _blocks_length(k0, blocks, params)
+        wit = _blocks_factorization(k0, blocks, params)
+        assert wit.symbol_count == closed
+        assert verify_factorization(wit, params) == (u, closed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.lists(
+            st.tuples(st.integers(2, 3), st.integers(0, 40)), min_size=1, max_size=4
+        ),
+    )
+    def test_family_length_is_the_closed_form(self, k0, raw):
+        ns = [n for n, _ in raw]
+        if len(raw) == 1:
+            blocks = raw
+        else:
+            # admissible chain: each separator clears the next block, the
+            # last is at least 1, and nothing precedes the first block
+            k0 = 0
+            blocks = [
+                (n, 3 * 5 ** (2 * n_next) + 1 + d)
+                for (n, d), n_next in zip(raw, ns[1:])
+            ] + [(ns[-1], raw[-1][1] + 1)]
+        length, wit = family_length(_blocks_word(k0, blocks, P5), P5)
+        assert length == _blocks_length(k0, blocks, P5) == wit.symbol_count
+
+
 class TestShapeWitness:
     def test_adjacent_blocks_allowed(self):
         u = W("a^4 b^4 a^16 b^16")
@@ -306,6 +376,17 @@ class TestXLength:
         )
         assert not r.exact and r.budget_exhausted
         assert r.lower <= 126 <= r.upper
+
+    @pytest.mark.parametrize("cost", [None, 1])
+    def test_invalid_engine_path_raises(self, monkeypatch, cost):
+        # a one-symbol path that does not multiply back to the target, as a
+        # proven optimum (cost 1) or as an unproven budget path (cost None)
+        def fake_best_first(u, moves, cap, h, budget, t0):
+            return Outcome(cost, [Letter("a", 1)], 1, 1 if cost else 0)
+
+        monkeypatch.setattr(lengths, "best_first", fake_best_first)
+        with pytest.raises(ArithmeticError, match="invalid witness"):
+            xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact")
 
     @pytest.mark.parametrize(
         "u,params,budget",
