@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     WeightProvider,
@@ -357,7 +358,14 @@ def cmd_radical_demo(args) -> int:
     return 0 if report["all_ok"] else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    ``parse_args`` keeps no state between calls: each call fills a new
+    namespace from the defaults, so a flag given once never leaks into a
+    later call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--base", type=int, help="generating-set base (default 5)")
     common.add_argument("--jmin", type=int, help="first generator index (default 2)")

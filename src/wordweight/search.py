@@ -6,6 +6,12 @@ one generator's expansion. Two engines are provided: a best-first search
 admissible but inconsistent heuristic still yields the optimum) and an
 iterative-deepening depth-first search whose bound grows by the exact
 minimal overshoot. Both are deterministic for fixed inputs and budgets.
+
+The heuristic reads only a state's key ``(na, nb, nc, letters)``: its
+abelianisation and letter count (``state_key``). A child's key follows
+from its parent's and the move's, the letter count less what cancels at
+the seam (``words.seam``), so best-first scores each child before it is
+built and builds only the children that pass (partial expansion).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .genset import (
     longest_expansion,
     max_usable_index,
 )
-from .words import LETTERS, Word
+from .words import LETTERS, AbelianVector, Word, seam
 
 _INF = float("inf")
 
@@ -40,6 +46,15 @@ class SearchBudget:
 class Move:
     gen: Gen
     inverse: Word  # inverse of the expansion, applied to remainders
+    ab: AbelianVector  # abelianisation of ``inverse``
+    letters: int  # letter count of ``inverse``
+    tail: str  # base of the last run of ``inverse``
+
+    @classmethod
+    def of(cls, gen: Gen, inverse: Word) -> "Move":
+        return cls(
+            gen, inverse, inverse.abelianize(), inverse.s_length, inverse.runs[-1][0]
+        )
 
 
 @dataclass
@@ -56,7 +71,7 @@ class Outcome:
     lower_bound: int  # proven even when no factorization was found
 
 
-_LETTER_MOVES = tuple(Move(letter, ~letter.word()) for letter in LETTERS)
+_LETTER_MOVES = tuple(Move.of(letter, ~letter.word()) for letter in LETTERS)
 
 
 @lru_cache(maxsize=16)
@@ -67,7 +82,7 @@ def _family_moves(params: GenSetParams, j: int) -> tuple[Move, ...]:
     process; callers copy the tuple and never mutate what it holds.
     """
     return tuple(
-        Move(gen, ~expand_generator(gen, params))
+        Move.of(gen, ~expand_generator(gen, params))
         for gen in enumerate_generators(params, j)
     )
 
@@ -92,11 +107,18 @@ def build_moves(
     return MoveSet(moves=moves, families=families)
 
 
+def state_key(r: Word) -> tuple[int, int, int, int]:
+    """The heuristic's argument for remainder r: (*ab(r), |r|)."""
+    return (*r.abelianize(), r.s_length)
+
+
 def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     """Admissible lower bound on the word length of a remainder over the
     letters and the indexed ``families`` (ascending): the exact abelian
-    relaxation, found in O(log |r|) steps and cached per (ab(r), |r|). It
-    needs only closed-form family data, so it never lists a family.
+    relaxation, found in O(log |r|) steps and cached per key. It is a
+    function of the remainder's ``state_key`` (ab(r), |r|) alone, which it
+    takes as its one argument. It needs only closed-form family data, so
+    it never lists a family.
 
     Soundness. Let B be the base, g = (B, B+1, 0), and let the families
     be the indices j in [jmin, J]. Whatever its conjugator, an index-j
@@ -141,13 +163,12 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
         row's bound ceil(psi(ab) / cap) is at most h.
     """
     if not families:
-        return lambda r: r.s_length
+        return lambda key: key[3]
     base = params.base
     w = base + 1  # H is computed scaled by w, in integers
     d_lo = params.inner_exp(families[0])
     d_hi = params.inner_exp(families[-1])
     grow = longest_expansion(params, families[-1]) - 1
-    cache: dict[tuple[int, int, int, int], int] = {}
 
     def relaxation(na: int, nb: int, nc: int, slen: int) -> int:
         fixed = w * abs(nc)
@@ -172,14 +193,20 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
                 lo = mid + 1
         return -(-scaled_h(lo) // w)
 
-    def h(r: Word) -> int:
-        key = (*r.abelianize(), r.s_length)
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = relaxation(*key)
-        return value
+    # a cache hit, the common case, runs no Python frame
+    return _Memo(relaxation).__getitem__
 
-    return h
+
+class _Memo(dict):
+    """Values of ``fn`` by argument tuple, computed on first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
 
 
 def _deadline(budget: SearchBudget, t0: float) -> float | None:
@@ -196,10 +223,22 @@ def best_first(
     budget: SearchBudget,
     t0: float,
 ) -> Outcome:
-    """Optimal factorization cost within ``cap``, or a proven lower bound."""
+    """Optimal factorization cost within ``cap``, or a proven lower bound.
+
+    Each child is scored before it is built: its key is the parent's
+    abelianisation plus the move's, and the two letter counts less the
+    letters cancelled at the seam, so f = cost + h(key) needs no product.
+    A child with f above the limit is skipped unbuilt. This changes which
+    products get built, not what the search does: a push needs both
+    ``ncost < best_g[nxt]`` and ``f <= limit``, neither test has a side
+    effect, so testing f first pushes the same states in the same order
+    with the same keys (f, letters, runs), and node counts are unchanged.
+    A child with no letters left is the identity and is taken as the
+    incumbent, as before, whatever its f.
+    """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
-    start_h = h(u)
+    start_h = h(state_key(u))
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
@@ -212,7 +251,7 @@ def best_first(
     incumbent: int | None = None
     nodes = 0
     while heap:
-        f, _, _, cost, state = heappop(heap)
+        f, slen, runs, cost, state = heappop(heap)
         if incumbent is not None and f >= incumbent:
             return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
         if cost > best_g.get(state, -1):
@@ -227,18 +266,29 @@ def best_first(
             return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
+        na, nb, nc = state.abelianize()
+        head = runs[0][0]
         for move in move_list:
+            letters = move.letters + slen
+            if move.tail == head:  # else nothing merges at the seam
+                letters -= seam(move.inverse.runs, runs)[2]
+                if not letters:  # the identity; only a seam can empty a word
+                    nxt = move.inverse * state
+                    if ncost < best_g.get(nxt, _INF):
+                        best_g[nxt] = ncost
+                        parents[nxt] = (state, move.gen)
+                        incumbent = ncost
+                        limit = min(cap, incumbent - 1)
+                    continue
+            dna, dnb, dnc = move.ab
+            f_nxt = ncost + h((na + dna, nb + dnb, nc + dnc, letters))
+            if f_nxt > limit:
+                continue
             nxt = move.inverse * state
             if ncost < best_g.get(nxt, _INF):
-                if nxt.is_identity():
-                    best_g[nxt] = ncost
-                    parents[nxt] = (state, move.gen)
-                    incumbent = ncost
-                    limit = min(cap, incumbent - 1)
-                elif (f_nxt := ncost + h(nxt)) <= limit:
-                    best_g[nxt] = ncost
-                    parents[nxt] = (state, move.gen)
-                    heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
+                best_g[nxt] = ncost
+                parents[nxt] = (state, move.gen)
+                heappush(heap, (f_nxt, letters, nxt.runs, ncost, nxt))
     if incumbent is not None:
         return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
@@ -270,7 +320,17 @@ def deepening(
 ) -> Outcome:
     """Iterative deepening on cost plus heuristic; the bound advances by
     the exact minimal overshoot, so the first factorization found is
-    optimal for an admissible heuristic."""
+    optimal for an admissible heuristic.
+
+    When the budget runs out, the current pass bound is a proven lower
+    end. In the first pass it is h(u). After a completed pass with bound
+    b, take any factorization; dropping its cycles gives a cycle-free path
+    of some cost c no larger, which the pass followed for as long as f
+    stayed <= b. It has a node with f > b, or the pass would have found
+    it. The first such node was generated from a parent with f <= b,
+    pruned, and counted in the minimal overshoot, the new bound; and its
+    f is at most c, as h is admissible. So c >= bound.
+    """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
@@ -287,7 +347,7 @@ def deepening(
             deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline
         ):
             raise _OutOfBudget
-        f = cost + h(state)
+        f = cost + h(state_key(state))
         if f > bound:
             if f < overshoot:
                 overshoot = f
@@ -306,16 +366,14 @@ def deepening(
             on_path.discard(nxt)
         return False
 
-    bound = h(u)
-    completed = bound - 1
+    bound = h(state_key(u))
     while bound <= cap:
         overshoot = _INF
         try:
             if dfs(u, 0, bound):
                 return Outcome(len(path), list(path), nodes, len(path))
         except _OutOfBudget:
-            return Outcome(None, None, nodes, completed + 1)
-        completed = bound
+            return Outcome(None, None, nodes, bound)
         if overshoot is _INF:
             # Whole graph below the cap explored without reaching the target.
             return Outcome(None, None, nodes, cap + 1)

@@ -3,7 +3,10 @@
 Words are run-length encoded reduced words: a tuple of (base, exponent)
 runs with adjacent runs on distinct bases and no zero exponents. Exponents
 are plain Python ints, so magnitudes like 5**40 cost one run. All
-operations return new Word values; nothing is mutated after construction.
+operations return new Word values; the runs never change after
+construction. A word's letter count and abelianisation are cached the
+first time they are asked for, and a product of two words that have both
+inherits them at the cost of its seam (``seam``).
 """
 
 from __future__ import annotations
@@ -37,10 +40,37 @@ def _merge_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(out)
 
 
+def seam(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[int, Run | None, int]:
+    """How two reduced run sequences reduce where they meet.
+
+    Returns ``(taken, merged, cancelled)``: the reduced product is
+    ``left[:len(left) - taken] + (merged,) + right[taken:]``, without
+    ``merged`` when it is None, and ``cancelled`` = |left| + |right| -
+    |product| letters vanish. Both sides lose the same number of runs: a
+    pair of facing runs on one base either cancels whole, and the walk
+    goes on, or merges into one run, and it stops. Cost is proportional
+    to the runs taken.
+    """
+    taken = cancelled = 0
+    i, n = len(left), len(right)
+    while i and taken < n:
+        i -= 1
+        base, exp = right[taken]
+        lbase, lexp = left[i]
+        if lbase != base:
+            break
+        taken += 1
+        s = lexp + exp
+        if s:
+            return taken, (base, s), cancelled + abs(lexp) + abs(exp) - abs(s)
+        cancelled += 2 * abs(exp)
+    return taken, None, cancelled
+
+
 class Word:
     """A reduced word of the free group; the empty word is the identity."""
 
-    __slots__ = ("runs", "_hash")
+    __slots__ = ("runs", "_hash", "_len", "_ab")
 
     runs: tuple[Run, ...]
 
@@ -49,6 +79,8 @@ class Word:
         # from_runs()/parse() for unvalidated input.
         self.runs = runs
         self._hash = None
+        self._len = None  # letter count, filled by s_length or __mul__
+        self._ab = None  # AbelianVector, filled by abelianize or __mul__
 
     @classmethod
     def from_runs(cls, runs: Iterable[Run]) -> "Word":
@@ -104,28 +136,28 @@ class Word:
         return not self.runs
 
     def __mul__(self, other: "Word") -> "Word":
-        """Concatenate and reduce. Cost is proportional to cancelled runs."""
-        if not self.runs:
+        """Concatenate and reduce. Cost is proportional to cancelled runs.
+
+        When both factors have their letter count and abelianisation
+        cached, the product gets them too: the abelianisations add, and
+        the letter counts add less the letters cancelled at the seam.
+        Otherwise the product's stay empty, so no caller pays for data it
+        never reads.
+        """
+        left, right = self.runs, other.runs
+        if not left:
             return other
-        if not other.runs:
+        if not right:
             return self
-        left = list(self.runs)
-        right = other.runs
-        i = 0
-        n = len(right)
-        while i < n and left:
-            base, exp = right[i]
-            lbase, lexp = left[-1]
-            if lbase != base:
-                break
-            s = lexp + exp
-            left.pop()
-            i += 1
-            if s != 0:
-                left.append((base, s))
-                break
-        left.extend(right[i:])
-        return Word(tuple(left))
+        taken, merged, cancelled = seam(left, right)
+        middle = (merged,) if merged else ()
+        product = Word(left[: len(left) - taken] + middle + right[taken:])
+        if self._len is not None and other._len is not None:
+            product._len = self._len + other._len - cancelled
+        if self._ab is not None and other._ab is not None:
+            x, y = self._ab, other._ab
+            product._ab = AbelianVector(x[0] + y[0], x[1] + y[1], x[2] + y[2])
+        return product
 
     def __invert__(self) -> "Word":
         return Word(tuple((base, -exp) for base, exp in reversed(self.runs)))
@@ -174,18 +206,24 @@ class Word:
     @property
     def s_length(self) -> int:
         """Letter count: the word length over the standard six letters."""
-        return sum(abs(exp) for _, exp in self.runs)
+        n = self._len
+        if n is None:
+            n = self._len = sum(abs(exp) for _, exp in self.runs)
+        return n
 
     def abelianize(self) -> "AbelianVector":
-        na = nb = nc = 0
-        for base, exp in self.runs:
-            if base == "a":
-                na += exp
-            elif base == "b":
-                nb += exp
-            else:
-                nc += exp
-        return AbelianVector(na, nb, nc)
+        ab = self._ab
+        if ab is None:
+            na = nb = nc = 0
+            for base, exp in self.runs:
+                if base == "a":
+                    na += exp
+                elif base == "b":
+                    nb += exp
+                else:
+                    nc += exp
+            ab = self._ab = AbelianVector(na, nb, nc)
+        return ab
 
     def split_at(self, i: int) -> tuple["Word", "Word"]:
         """Split into the first ``i`` letters and the rest; no cancellation."""

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from wordweight.cli import main
+from wordweight.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -90,6 +90,44 @@ class TestXlen:
         _, first = run_json(capsys, *argv)
         _, second = run_json(capsys, *argv)
         assert strip_timing(first) == strip_timing(second)
+
+
+    def test_deepening_budget_reports_last_pass_bound(self, capsys):
+        # the pass that runs out of budget has bound 11, one above the
+        # last completed pass, and every factorization costs at least it
+        code, report = run_json(
+            capsys, "xlen", "--base", "2", "--jmin", "1", "--max-nodes", "300",
+            "--algorithm", "deepening", "a c b^-1 a^-1 c b^-1 c^-2 a^4",
+        )
+        assert code == 3 and report["method"] == "budget"
+        assert (report["lower"], report["upper"]) == (11, 12)
+        assert report["nodes_expanded"] == 301
+
+
+class TestParserReuse:
+    CALLS = [
+        ("xlen", "--base", "2", "--jmin", "1", "--max-nodes", "60",
+         "c a c^-2 b a c^-1 b c^-2 b^-1 c"),
+        ("xlen", "--base", "2", "--jmin", "1", "c a c^-2 b a c^-1 b c^-2 b^-1 c"),
+        ("verify-family", "--family", "block", "--n", "2", "--k", "0,1"),
+    ]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_flag_leaks_between_calls(self, capsys):
+        shared = [run_json(capsys, *argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(run_json(capsys, *argv))
+        assert [code for code, _ in shared] == [3, 0, 0]
+        assert [(c, strip_timing(r)) for c, r in shared] == [
+            (c, strip_timing(r)) for c, r in fresh
+        ]
+        assert shared[0][1]["config"]["max_nodes"] == 60
+        assert shared[1][1]["config"]["max_nodes"] != 60
+        assert shared[1][1]["exact"] and shared[1][1]["lower"] == 12
 
 
 class TestVerifyFamily:

@@ -36,7 +36,7 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight.search import Outcome, build_moves, make_heuristic
+from wordweight.search import Outcome, build_moves, make_heuristic, state_key
 from wordweight.words import IDENTITY, LETTERS, Letter, Word
 
 W = Word.parse
@@ -91,7 +91,7 @@ class TestPoolBound:
     @given(reduced_words, st.sampled_from([P2, P5]))
     def test_heuristic_dominates_certificate_bound(self, u, params):
         h = make_heuristic(params, (params.jmin,))
-        assert h(u) >= best_certificate_bound(u, params)[0]
+        assert h(state_key(u)) >= best_certificate_bound(u, params)[0]
 
 
 class TestCertificates:

@@ -1,11 +1,13 @@
 """The move set and the search heuristic: refusal and caching in
 build_moves; soundness, dominance over the earlier bound and bounded cost
-of the heuristic; and a differential test of exact lengths."""
+of the heuristic; a differential test of exact lengths; and best-first's
+partial expansion against the full-expansion loop it replaced."""
 
 import itertools
 import random
 import threading
 from functools import lru_cache
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,18 @@ from wordweight.genset import (
     max_usable_index,
     theta_value,
 )
-from wordweight.lengths import SearchBudget, pool_bound, xlength
-from wordweight.search import MoveSet, _family_moves, build_moves, make_heuristic
+from wordweight.lengths import SearchBudget, chain_word, pool_bound, xlength
+from wordweight import search
+from wordweight.search import (
+    MoveSet,
+    Outcome,
+    _family_moves,
+    _rebuild,
+    best_first,
+    build_moves,
+    make_heuristic,
+    state_key,
+)
 from wordweight.words import IDENTITY, LETTERS, Word
 
 P2 = GenSetParams(base=2, jmin=1)
@@ -130,7 +142,7 @@ class TestHeuristic:
     def test_dominates_earlier_bound(self, r, spec):
         params, moves = move_set(*spec)
         h = make_heuristic(params, moves.families)
-        assert earlier_heuristic(r, params, moves) <= h(r) <= r.s_length
+        assert earlier_heuristic(r, params, moves) <= h(state_key(r)) <= r.s_length
 
     def test_admissible_on_short_products(self):
         # a product of k moves has move-set length at most k
@@ -139,13 +151,13 @@ class TestHeuristic:
             params, moves = move_set(*spec)
             h = make_heuristic(params, moves.families)
             expansions = [expand_generator(mv.gen, params) for mv in moves.moves]
-            assert all(h(x) <= 1 for x in expansions)
+            assert all(h(state_key(x)) <= 1 for x in expansions)
             for _ in range(300):
                 k = rng.randint(2, 4)
                 product = IDENTITY
                 for x in rng.choices(expansions, k=k):
                     product = product * x
-                assert h(product) <= k
+                assert h(state_key(product)) <= k
 
     def test_admissible_at_paper_scale(self):
         # build_moves refuses every base-5 family; the heuristic needs
@@ -159,14 +171,14 @@ class TestHeuristic:
             for gen in itertools.islice(enumerate_generators(params, j), 200)
         ]
         expansions += [letter.word() for letter in LETTERS]
-        assert all(h(x) <= 1 for x in expansions)
+        assert all(h(state_key(x)) <= 1 for x in expansions)
         rng = random.Random(5)
         for _ in range(300):
             k = rng.randint(2, 4)
             product = IDENTITY
             for x in rng.choices(expansions, k=k):
                 product = product * x
-            assert h(product) <= k
+            assert h(state_key(product)) <= k
 
     def test_exact_values(self):
         # ab(a^5 b^7) = (5, 7, 0). Index 1 alone: one generator covers
@@ -177,7 +189,7 @@ class TestHeuristic:
         values = []
         for spec in [(2, 0), (2, 40)]:
             params, moves = move_set(*spec)
-            values.append(make_heuristic(params, moves.families)(u))
+            values.append(make_heuristic(params, moves.families)(state_key(u)))
         assert values == [3, 2]
 
     def test_bounded_cost_on_huge_exponents(self):
@@ -186,7 +198,7 @@ class TestHeuristic:
             r = Word((("a", n), ("b", -n)))
             h = make_heuristic(params, (params.jmin,))
             values = []
-            worker = threading.Thread(target=lambda: values.append(h(r)), daemon=True)
+            worker = threading.Thread(target=lambda: values.append(h(state_key(r))), daemon=True)
             worker.start()
             worker.join(timeout=10)
             assert values == [2 * n]
@@ -224,28 +236,142 @@ def blind_length(u: Word) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def differential_targets() -> tuple[Word, ...]:
+    """32 random base-2 letter words, then 32 index-1 expansions with up to
+    two letters added."""
+    rng = random.Random(20261018)
+    moves = move_set(2, 0)[1].moves
+    targets = {}  # ordered set: random letter words, then move products
+    while len(targets) < 64:
+        u = IDENTITY
+        if len(targets) >= 32:
+            u = expand_generator(rng.choice(moves).gen, P2)
+        extra = rng.randint(1, 6) if len(targets) < 32 else rng.randint(0, 2)
+        while extra:
+            letter = rng.choice(LETTERS).word()
+            nu = u * letter if rng.random() < 0.5 else letter * u
+            if nu.s_length > u.s_length:
+                u, extra = nu, extra - 1
+        targets[u] = None
+    return tuple(targets)
+
+
 class TestDifferential:
     def test_dual_matches_blind_breadth_first(self):
         # The oracle lists index 1 only. An index-2 generator has a+b count
         # 40, so it occurs in a factorization of u with n symbols only if
         # theta(u) + n - 1 >= 40; every target keeps theta(u) + 5 - 1 < 40.
-        rng = random.Random(20261018)
-        moves = move_set(2, 0)[1].moves
-        targets = {}  # ordered set: random letter words, then move products
-        while len(targets) < 64:
-            u = IDENTITY
-            if len(targets) >= 32:
-                u = expand_generator(rng.choice(moves).gen, P2)
-            extra = rng.randint(1, 6) if len(targets) < 32 else rng.randint(0, 2)
-            while extra:
-                letter = rng.choice(LETTERS).word()
-                nu = u * letter if rng.random() < 0.5 else letter * u
-                if nu.s_length > u.s_length:
-                    u, extra = nu, extra - 1
-            targets[u] = None
-        for u in targets:
+        for u in differential_targets():
             ab = u.abelianize()
             assert ab[0] + ab[1] + 4 < theta_value(2, P2)
             r = xlength(u, P2, mode="exact", algorithm="dual")
             assert r.exact and r.method in ("collapse", "dual")
             assert min(r.lower, 6) == blind_length(u), str(u)
+
+
+def full_expansion_best_first(u, moves, cap, h, budget):
+    """The best-first loop that partial expansion replaced, without the
+    deadline: it builds every child, looks it up in best_g, and only then
+    scores it. The reference for ``search.best_first``."""
+    if u.is_identity():
+        return Outcome(0, [], 0, 0)
+    start_h = h(state_key(u))
+    if start_h > cap:
+        return Outcome(None, None, 0, start_h)
+    best_g = {u: 0}
+    parents = {}
+    heap = [(start_h, u.s_length, u.runs, 0, u)]
+    incumbent = None
+    nodes = 0
+    while heap:
+        f, _, _, cost, state = heappop(heap)
+        if incumbent is not None and f >= incumbent:
+            return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+        if cost > best_g.get(state, -1):
+            continue  # stale entry
+        nodes += 1
+        if nodes > budget.max_nodes:
+            partial = _rebuild(parents, u) if incumbent is not None else None
+            return Outcome(None, partial, nodes, 0)
+        ncost = cost + 1
+        limit = cap if incumbent is None else min(cap, incumbent - 1)
+        for move in moves.moves:
+            nxt = move.inverse * state
+            if ncost < best_g.get(nxt, float("inf")):
+                if nxt.is_identity():
+                    best_g[nxt] = ncost
+                    parents[nxt] = (state, move.gen)
+                    incumbent = ncost
+                    limit = min(cap, incumbent - 1)
+                elif (f_nxt := ncost + h(state_key(nxt))) <= limit:
+                    best_g[nxt] = ncost
+                    parents[nxt] = (state, move.gen)
+                    heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
+    if incumbent is not None:
+        return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+    return Outcome(None, None, nodes, cap + 1)
+
+
+@lru_cache(maxsize=None)
+def engine_targets() -> tuple[Word, ...]:
+    """The differential targets, base-2 blocks, seeded perturbed blocks
+    and two chains, each once."""
+    rng = random.Random(20261019)
+    blocks = [
+        Word.from_runs([("c", k0), ("a", 4), ("b", 4), ("c", k1)])
+        for k0, k1 in [(0, 0), (2, 1), (0, 3), (1, 0)]
+    ]
+    perturbed = []
+    for _ in range(8):
+        runs = [("a", 4), ("b", 4), ("c", rng.randint(0, 2))]
+        i = rng.randrange(len(runs) + 1)
+        runs.insert(i, (rng.choice("abc"), rng.choice([-2, -1, 1, 2])))
+        perturbed.append(Word.from_runs(runs))
+    chains = [chain_word(chain, P2) for chain in ([(1, 13), (1, 1)], [(1, 14), (1, 2)])]
+    return tuple(dict.fromkeys(differential_targets() + tuple(blocks + perturbed + chains)))
+
+
+class TestPartialExpansion:
+    # (move set, small and large node budgets): the index-2 family makes
+    # the full-expansion reference cost milliseconds per node, so its large
+    # budget stays low; the chains run into it
+    CASES = [((2, 0), (3, 100_000)), ((2, 40), (3, 60))]
+
+    @pytest.mark.parametrize("spec, budgets", CASES, ids=["families-1", "families-1-2"])
+    def test_matches_full_expansion(self, spec, budgets, monkeypatch):
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        products = []
+        pushed = set()
+        multiply = Word.__mul__
+
+        def recorded_mul(x, y):
+            product = multiply(x, y)
+            products.append(product)
+            return product
+
+        def recorded_push(heap, item):
+            pushed.add(item[-1])
+            heappush(heap, item)
+
+        built = 0
+        for u in engine_targets():
+            cap = xlength(u, params, mode="bracket").upper
+            for max_nodes in budgets:
+                budget = SearchBudget(max_nodes=max_nodes)
+                expected = full_expansion_best_first(u, moves, cap, h, budget)
+                products.clear()
+                pushed.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(Word, "__mul__", recorded_mul)
+                    patch.setattr(search, "heappush", recorded_push)
+                    got = best_first(u, moves, cap, h, budget, 0.0)
+                assert got == expected, str(u)
+                # Only children that pass the f test are multiplied out, and
+                # such a child is pushed unless best_g already holds it: it
+                # is the identity, the root or a pushed state. Scoring after
+                # the product would build children that are none of these.
+                assert pushed.union([IDENTITY, u]).issuperset(products), str(u)
+                built += len(products)
+        assert built

@@ -13,6 +13,7 @@ from wordweight.words import (
     AbelianVector,
     Word,
     hom_value,
+    seam,
 )
 
 W = Word.parse
@@ -238,3 +239,76 @@ class TestAlgebraLaws:
                 assert exp != 0
                 if i:
                     assert w.runs[i - 1][0] != base
+
+
+# Exponents at both scales: small, and powers of the bases 2 and 5 up to
+# 5^20, where a whole run is one step of the seam walk.
+exponents = st.one_of(
+    st.integers(1, 4),
+    st.builds(pow, st.sampled_from([2, 5]), st.integers(1, 20)),
+).flatmap(lambda n: st.sampled_from([n, -n]))
+big_words = st.lists(
+    st.tuples(st.sampled_from("abc"), exponents), max_size=5
+).map(Word.from_runs)
+
+
+@st.composite
+def seam_pairs(draw):
+    """(x, y) whose seam cancels whole runs, part of a run, or merges two
+    runs: y starts with the inverse of a tail of x, then an optional run on
+    the base of the next run of x, then anything."""
+    x = draw(big_words)
+    keep = draw(st.integers(0, len(x.runs)))
+    runs = [(base, -exp) for base, exp in reversed(x.runs[keep:])]
+    if keep and draw(st.booleans()):
+        runs.append((x.runs[keep - 1][0], draw(exponents)))
+    y = Word.from_runs(runs + list(draw(big_words).runs))
+    return x, y
+
+
+def respelled(draw, w):
+    """w as one of the paths that leave the cached letter data empty."""
+    return draw(st.sampled_from([
+        lambda: Word.parse(str(w)),
+        lambda: Word.from_runs(w.runs),
+        lambda: ~Word(tuple((b, -e) for b, e in reversed(w.runs))),
+        lambda: (w**3) * ~(w**2),
+        lambda: Word(w.runs),
+    ]))()
+
+
+class TestCachedLetterData:
+    @given(seam_pairs(), st.data())
+    def test_product_matches_recount(self, pair, data):
+        x, y = (respelled(data.draw, w) for w in pair)
+        warm = data.draw(st.tuples(st.booleans(), st.booleans()))
+        for w, on in zip((x, y), warm):
+            if on:
+                w.s_length, w.abelianize()
+        product = x * y
+        fresh = Word(product.runs)
+        assert product.runs == Word.from_runs(x.runs + y.runs).runs
+        if x and y:
+            # the product inherits the pair only from two factors that have it
+            assert (product._len is not None) == all(warm)
+            assert (product._ab is not None) == all(warm)
+        assert product.s_length == fresh.s_length
+        assert product.abelianize() == fresh.abelianize()
+
+    @given(seam_pairs())
+    def test_seam_counts_what_cancels(self, pair):
+        x, y = pair
+        taken, merged, cancelled = seam(x.runs, y.runs)
+        product = x * y
+        assert cancelled == x.s_length + y.s_length - product.s_length
+        middle = (merged,) if merged else ()
+        assert x.runs[: len(x.runs) - taken] + middle + y.runs[taken:] == product.runs
+
+    def test_seam_cases(self):
+        big = 5**20
+        a, ai = ("a", big), ("a", -big)
+        assert seam((("b", 1), a), (ai, ("b", -1))) == (2, None, 2 * big + 2)
+        assert seam((("b", 1), a), (("a", 3 - big),)) == (1, ("a", 3), 2 * big - 6)
+        assert seam((a,), (("a", 2),)) == (1, ("a", big + 2), 0)
+        assert seam((a,), (("b", 2),)) == (0, None, 0)
+        assert seam((), (a,)) == (0, None, 0)
