@@ -31,7 +31,6 @@ from .genset import (
     GenSetParams,
     _check_index,
     expand_generator,
-    normalize_conjugator,
 )
 from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
 from .words import IDENTITY, Letter, Word, hom_value
@@ -457,33 +456,6 @@ def single_biggen_cancellation(
     boundary = (merged.s_length + suffix.s_length - full.s_length) // 2
     from_right = min(boundary, expansion.s_length - from_left)
     return from_left + from_right, expansion.s_length
-
-
-# --- the rewrite that drops a conjugator -------------------------------------
-
-
-def rewrite_drop_conjugator(
-    prefix: Word, gen: Gen, params: GenSetParams
-) -> tuple[Word, Gen]:
-    """If the letter prefix cancels the whole leading segment w b^(inner)
-    of the generator's expansion, replace the generator by its
-    identity-conjugator sibling, absorbing the difference into a new
-    prefix that is never longer. Group element and symbol count are
-    preserved; anything else returns the input unchanged.
-    """
-    if not isinstance(gen, BigGen):
-        return prefix, gen
-    norm = normalize_conjugator(gen.conj, gen.index, params)
-    w = norm.conj
-    if w.is_identity():
-        return prefix, norm
-    inner = Word((("b", params.inner_exp(gen.index)),))
-    segment = w * inner
-    collapsed = prefix * segment
-    if collapsed.s_length != prefix.s_length - segment.s_length:
-        return prefix, gen
-    new_prefix = collapsed * ~w * ~inner
-    return new_prefix, BigGen(IDENTITY, gen.index)
 
 
 # --- length computation -------------------------------------------------------

@@ -10,8 +10,15 @@ minimal overshoot. Both are deterministic for fixed inputs and budgets.
 The heuristic reads only a state's key ``(na, nb, nc, letters)``: its
 abelianisation and letter count (``state_key``). A child's key follows
 from its parent's and the move's, the letter count less what cancels at
-the seam (``words.seam``), so best-first scores each child before it is
-built and builds only the children that pass (partial expansion).
+the seam (``words.seam``), so both engines score each child before it is
+built and build only the children that pass (partial expansion).
+
+The goal test is a lookup, not a move: a state is one move from the
+identity exactly when it is the expansion of some move, and the move
+set's goal table (``MoveSet.goals``) maps each expansion, filed under its
+state key, to its generator. So neither engine ever builds the identity,
+and best-first takes an incumbent as soon as it pushes an expansion.
+Node counts are expanded states in both engines.
 """
 
 from __future__ import annotations
@@ -57,10 +64,14 @@ class Move:
         )
 
 
+Goals = dict[tuple[int, int, int, int], dict[Word, Gen]]
+
+
 @dataclass
 class MoveSet:
     moves: list[Move]
     families: tuple[int, ...]  # indices of the indexed generators, ascending
+    goals: Goals  # state key -> {expansion with that key: its generator}
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,19 @@ class Outcome:
     lower_bound: int  # proven even when no factorization was found
 
 
+def _goal_table(moves) -> Goals:
+    """Each move's expansion (``~move.inverse``), filed under its state key,
+    mapped to the move's generator. The key is read off the move, whose
+    inverse has the negated abelianisation and the same letter count."""
+    table: Goals = {}
+    for move in moves:
+        na, nb, nc = move.ab
+        table.setdefault((-na, -nb, -nc, move.letters), {})[~move.inverse] = move.gen
+    return table
+
+
 _LETTER_MOVES = tuple(Move.of(letter, ~letter.word()) for letter in LETTERS)
+_LETTER_GOALS = _goal_table(_LETTER_MOVES)
 
 
 @lru_cache(maxsize=16)
@@ -85,6 +108,13 @@ def _family_moves(params: GenSetParams, j: int) -> tuple[Move, ...]:
         Move.of(gen, ~expand_generator(gen, params))
         for gen in enumerate_generators(params, j)
     )
+
+
+@lru_cache(maxsize=16)
+def _family_goals(params: GenSetParams, j: int) -> Goals:
+    """The goal table of the index-j family, built once per process like
+    the family itself; callers never mutate it."""
+    return _goal_table(_family_moves(params, j))
 
 
 def build_moves(
@@ -102,9 +132,15 @@ def build_moves(
     for j in families:
         check_family_size(params, j, budget.max_nodes)
     moves = list(_LETTER_MOVES)
+    # The tables' keys never collide: a letter's expansion has one letter
+    # and a unit abelianisation, an index-j expansion abelianises to
+    # B^(2j-1) (B, B+1, 0). So the merge copies a few keys, not the
+    # expansions filed under them.
+    goals = dict(_LETTER_GOALS)
     for j in families:
         moves.extend(_family_moves(params, j))
-    return MoveSet(moves=moves, families=families)
+        goals.update(_family_goals(params, j))
+    return MoveSet(moves=moves, families=families, goals=goals)
 
 
 def state_key(r: Word) -> tuple[int, int, int, int]:
@@ -143,7 +179,8 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     {(M, t) : M d_jmin <= t <= M d_J}, hence convex in M; the second term
     is linear, so H is convex, and h(r) = ceil(min of H(M) over integers
     M >= 0) is found by a binary search for the first M with
-    H(M+1) >= H(M). As H(0) = |r| and H(M) >= M, that M lies in [0, |r|].
+    H(M+1) >= H(M). As H(0) = |r| and H(M) >= M, that M lies in [0, |r|],
+    and h >= 1 on every key but the identity's, which both engines use.
     With one family t = M d_jmin is forced, and the bound is the integer
     relaxation itself. Without indexed moves only the letters remain and
     h is the letter count, which is exact.
@@ -228,32 +265,64 @@ def best_first(
     Each child is scored before it is built: its key is the parent's
     abelianisation plus the move's, and the two letter counts less the
     letters cancelled at the seam, so f = cost + h(key) needs no product.
-    A child with f above the limit is skipped unbuilt. This changes which
-    products get built, not what the search does: a push needs both
-    ``ncost < best_g[nxt]`` and ``f <= limit``, neither test has a side
-    effect, so testing f first pushes the same states in the same order
-    with the same keys (f, letters, runs), and node counts are unchanged.
-    A child with no letters left is the identity and is taken as the
-    incumbent, as before, whatever its f.
+    A child with f above the limit, min(cap, incumbent - 1), is skipped
+    unbuilt.
+
+    Goal test. A state is looked up in the goal table each time it
+    enters the heap, the root before the loop. A hit on a state X pushed
+    at cost g is a factorization with g + 1 symbols: the path to X, then
+    the generator the table names. X passed f <= limit with h(X) = 1
+    (h >= 1 off the identity, and h <= 1 one move from it), so g + 1 is
+    below the incumbent and replaces it, and the limit drops to g. Every
+    other child of X's parent then has f > g: f >= g + 1 off the
+    identity, and the identity is a child only of an expansion, which set
+    an incumbent of at most g when it was pushed. So the scan stops, and
+    a node whose children cost g is not scanned at all once limit <= g.
+
+    Optimality. Suppose a factorization of c* <= cap symbols, with states
+    s_0 = u, ..., s_c* = 1, and an incumbent that stays above c* or
+    unset. Then every limit is at least c*, and each s_i with i < c* has
+    f <= i + (c* - i) = c* at cost i, the least cost at which it can be
+    reached. By induction each such s_i is pushed at cost i: s_(i-1) is
+    in the heap with f < incumbent, so it is popped before the search
+    ends, at its least cost, so not stale, and its scan reaches s_i, as
+    a stop needs limit <= i < c*. Pushing s_(c*-1), an expansion, sets
+    an incumbent of at most c*, a contradiction.
+
+    The incumbent is a real path with exactly that many symbols. It is
+    recorded as (X, generator) with incumbent = best_g[X] + 1, and
+    best_g[X] drops only with a push of X, which looks X up again and
+    lowers the incumbent with it. Parent links point to states of
+    smaller best_g, so ``_rebuild`` walks from X back to u in at most
+    best_g[X] steps: a real factorization of at most incumbent symbols.
+    A proven incumbent is optimal, so the walk has exactly best_g[X]
+    steps. When the budget runs out, the walk is returned unproven and
+    its own length is used.
+    ``xlength`` re-multiplies every path and raises on a mismatch.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
-    start_h = h(state_key(u))
+    root_key = state_key(u)
+    start_h = h(root_key)
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
-    move_list = moves.moves
+    move_list, goals = moves.moves, moves.goals
     best_g: dict[Word, int] = {u: 0}
     parents: dict[Word, tuple[Word, Gen]] = {}
     heap: list[tuple[int, int, tuple, int, Word]] = [
         (start_h, u.s_length, u.runs, 0, u)
     ]
     incumbent: int | None = None
+    last: tuple[Word, Gen] | None = None  # the incumbent's expansion state
+    hits = goals.get(root_key)
+    if hits is not None and u in hits:
+        incumbent, last = 1, (u, hits[u])
     nodes = 0
     while heap:
         f, slen, runs, cost, state = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+            return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
         if cost > best_g.get(state, -1):
             continue  # stale entry
         nodes += 1
@@ -262,26 +331,24 @@ def best_first(
         ):
             # an incumbent found before running dry is still a valid witness,
             # just not proven optimal
-            partial = _rebuild(parents, u) if incumbent is not None else None
+            partial = _rebuild(parents, u, last) if incumbent is not None else None
             return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
+        if limit <= ncost:
+            continue  # every child has f >= ncost + 1
         na, nb, nc = state.abelianize()
         head = runs[0][0]
+        # The scoring is written out here and in ``deepening``, not shared
+        # through a generator: resuming one per move made this loop about
+        # 15 % slower per move (656 moves, base 2, CPython 3.11).
         for move in move_list:
             letters = move.letters + slen
             if move.tail == head:  # else nothing merges at the seam
                 letters -= seam(move.inverse.runs, runs)[2]
-                if not letters:  # the identity; only a seam can empty a word
-                    nxt = move.inverse * state
-                    if ncost < best_g.get(nxt, _INF):
-                        best_g[nxt] = ncost
-                        parents[nxt] = (state, move.gen)
-                        incumbent = ncost
-                        limit = min(cap, incumbent - 1)
-                    continue
             dna, dnb, dnc = move.ab
-            f_nxt = ncost + h((na + dna, nb + dnb, nc + dnc, letters))
+            key = (na + dna, nb + dnb, nc + dnc, letters)
+            f_nxt = ncost + h(key)
             if f_nxt > limit:
                 continue
             nxt = move.inverse * state
@@ -289,19 +356,25 @@ def best_first(
                 best_g[nxt] = ncost
                 parents[nxt] = (state, move.gen)
                 heappush(heap, (f_nxt, letters, nxt.runs, ncost, nxt))
+                hits = goals.get(key)
+                if hits is not None and nxt in hits:
+                    incumbent, last = ncost + 1, (nxt, hits[nxt])
+                    break  # the limit is now ncost
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+        return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
     return Outcome(None, None, nodes, cap + 1)
 
 
-def _rebuild(parents: dict[Word, tuple[Word, Gen]], u: Word) -> list[Gen]:
-    path: list[Gen] = []
-    state = Word(())
+def _rebuild(
+    parents: dict[Word, tuple[Word, Gen]], u: Word, last: tuple[Word, Gen]
+) -> list[Gen]:
+    """The path from u to ``last``'s state, then ``last``'s generator."""
+    state, gen = last
+    path = [gen]
     while state != u:
-        prev, gen = parents[state]
+        state, gen = parents[state]
         path.append(gen)
-        state = prev
     path.reverse()
     return path
 
@@ -322,55 +395,85 @@ def deepening(
     the exact minimal overshoot, so the first factorization found is
     optimal for an admissible heuristic.
 
-    When the budget runs out, the current pass bound is a proven lower
-    end. In the first pass it is h(u). After a completed pass with bound
-    b, take any factorization; dropping its cycles gives a cycle-free path
-    of some cost c no larger, which the pass followed for as long as f
-    stayed <= b. It has a node with f > b, or the pass would have found
-    it. The first such node was generated from a parent with f <= b,
-    pruned, and counted in the minimal overshoot, the new bound; and its
-    f is at most c, as h is admissible. So c >= bound.
+    A pass visits the cycle-free paths from u whose states all have
+    f <= bound. Each child is scored from its parent's key before it is
+    built, as in ``best_first``; a child with f > bound is counted in the
+    overshoot and skipped unbuilt, and only a child that passes is built
+    and checked against the path. Nodes, the unit of ``max_nodes``, are
+    the states visited, each checked against the deadline. A visited
+    state is looked up in the goal table first, and a hit ends the
+    search: the path so far and the generator the table names.
+
+    The first factorization found is optimal. The visited state has
+    f = cost + h <= bound and h >= 1, so the factorization has
+    cost + 1 <= bound symbols, while bound is a proven lower end (below);
+    so it has exactly bound symbols. The identity is a child only of an
+    expansion, whose lookup hits first, so it is never visited.
+
+    The pass bound is a proven lower end, also when the budget runs out
+    mid-pass. In the first pass it is h(u). After a completed pass with
+    bound b, take any factorization; dropping its cycles gives a
+    cycle-free path of some cost c no larger, with states s_0 = u, ...,
+    s_c = 1. Some s_i with i < c has f > b, or the pass would have
+    reached s_(c-1) and found it. The first such s_i is a child of a
+    visited state, so its f was scored and counted in the minimal
+    overshoot, the new bound; and f(s_i) <= c, as h is admissible. So
+    c >= bound. Children on the current path are counted too, before
+    the path check; that only adds candidates to the overshoot, each
+    above b, so the bound still grows and stays at most c.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
-    move_list = moves.moves
+    move_list, goals = moves.moves, moves.goals
     nodes = 0
     path: list[Gen] = []
     on_path = {u}
     overshoot = _INF
 
-    def dfs(state: Word, cost: int, bound: int) -> bool:
+    def dfs(state: Word, key: tuple[int, int, int, int], cost: int, bound: int) -> bool:
         nonlocal nodes, overshoot
         nodes += 1
         if nodes > budget.max_nodes or (
-            deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline
+            deadline is not None and time.perf_counter() > deadline
         ):
             raise _OutOfBudget
-        f = cost + h(state_key(state))
-        if f > bound:
-            if f < overshoot:
-                overshoot = f
-            return False
-        if state.is_identity():
+        hits = goals.get(key)
+        if hits is not None and state in hits:
+            path.append(hits[state])
             return True
-        for move in move_list:
+        ncost = cost + 1
+        na, nb, nc, slen = key
+        runs = state.runs
+        head = runs[0][0]
+        for move in move_list:  # the scoring of ``best_first``, inline
+            letters = move.letters + slen
+            if move.tail == head:
+                letters -= seam(move.inverse.runs, runs)[2]
+            dna, dnb, dnc = move.ab
+            nkey = (na + dna, nb + dnb, nc + dnc, letters)
+            f = ncost + h(nkey)
+            if f > bound:
+                if f < overshoot:
+                    overshoot = f
+                continue
             nxt = move.inverse * state
             if nxt in on_path:
                 continue
             on_path.add(nxt)
             path.append(move.gen)
-            if dfs(nxt, cost + 1, bound):
+            if dfs(nxt, nkey, ncost, bound):
                 return True
             path.pop()
             on_path.discard(nxt)
         return False
 
-    bound = h(state_key(u))
+    root_key = state_key(u)
+    bound = h(root_key)
     while bound <= cap:
         overshoot = _INF
         try:
-            if dfs(u, 0, bound):
+            if dfs(u, root_key, 0, bound):
                 return Outcome(len(path), list(path), nodes, len(path))
         except _OutOfBudget:
             return Outcome(None, None, nodes, bound)

@@ -96,12 +96,12 @@ class TestXlen:
         # the pass that runs out of budget has bound 11, one above the
         # last completed pass, and every factorization costs at least it
         code, report = run_json(
-            capsys, "xlen", "--base", "2", "--jmin", "1", "--max-nodes", "300",
+            capsys, "xlen", "--base", "2", "--jmin", "1", "--max-nodes", "150",
             "--algorithm", "deepening", "a c b^-1 a^-1 c b^-1 c^-2 a^4",
         )
         assert code == 3 and report["method"] == "budget"
         assert (report["lower"], report["upper"]) == (11, 12)
-        assert report["nodes_expanded"] == 301
+        assert report["nodes_expanded"] == 151
 
 
 class TestParserReuse:

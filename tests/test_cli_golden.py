@@ -38,6 +38,10 @@ CASES = {
     "xlen_dual_budget": [
         "xlen", "c a^4 b^4 a^-1", *B2, "--max-nodes", "60", "--algorithm", "dual",
     ],
+    # best-first completes in 23 nodes, the deepening cross-check does not
+    "xlen_dual_cross_check_budget": [
+        "xlen", "c a^4 b^4 c^-1 a", *B2, "--max-nodes", "40", "--algorithm", "dual",
+    ],
     "xlen_csv": ["xlen", "c^2 a^4 b^4", *B2, "--format", "csv"],
     "family_block": ["verify-family", "--family", "block", "--n", "2,3", "--k", "0,1,7"],
     "family_chain": ["verify-family", "--family", "chain", "--n", "2", "--r", "1,2,3"],

@@ -12,7 +12,7 @@ from wordweight.errors import (
     InvalidCertificate,
     UnknownLength,
 )
-from wordweight.genset import BigGen, GenSetParams, expand_generator
+from wordweight.genset import BigGen, GenSetParams
 from wordweight.lengths import (
     _blocks_factorization,
     _blocks_length,
@@ -30,7 +30,6 @@ from wordweight.lengths import (
     eval_certificate,
     family_length,
     letters_factorization,
-    rewrite_drop_conjugator,
     shape_witness,
     single_biggen_cancellation,
     verify_factorization,
@@ -304,43 +303,6 @@ class TestShapeWitness:
 
     def test_non_shape_returns_none(self):
         assert shape_witness(W("a^3 b^4"), P2) is None
-
-
-class TestRewrite:
-    def test_drops_conjugator(self):
-        prefix, gen = rewrite_drop_conjugator(W("b^-2 a^-1"), BigGen(W("a"), 1), P2)
-        assert gen == BigGen(IDENTITY, 1)
-        assert prefix == W("a^-1 b^-2")
-        # both sides reduce to a^3 b^4
-        assert prefix * expand_generator(gen, P2) == W("a^3 b^4")
-        assert W("b^-2 a^-1") * expand_generator(BigGen(W("a"), 1), P2) == W("a^3 b^4")
-
-    def test_identity_conjugator_unchanged(self):
-        gen = BigGen(IDENTITY, 1)
-        assert rewrite_drop_conjugator(W("b^-2"), gen, P2) == (W("b^-2"), gen)
-
-    def test_no_cancellation_unchanged(self):
-        gen = BigGen(W("a"), 1)
-        assert rewrite_drop_conjugator(W("c"), gen, P2) == (W("c"), gen)
-
-    def test_random_never_increases_and_preserves_element(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            j = 1
-            w = IDENTITY
-            for _ in range(rng.randint(0, 2)):
-                w = w * rng.choice(LETTERS).word()
-            if w.s_length > P2.conjugator_bound(j):
-                continue
-            gen = BigGen(w, j)
-            y = IDENTITY
-            for _ in range(rng.randint(0, 3)):
-                y = y * rng.choice(LETTERS).word()
-            segment = w * W(f"b^{P2.inner_exp(j)}")
-            prefix = rng.choice([y * ~segment, y])
-            new_prefix, new_gen = rewrite_drop_conjugator(prefix, gen, P2)
-            assert new_prefix * expand_generator(new_gen, P2) == prefix * expand_generator(gen, P2)
-            assert new_prefix.s_length <= prefix.s_length
 
 
 class TestXLength:

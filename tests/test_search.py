@@ -1,11 +1,14 @@
 """The move set and the search heuristic: refusal and caching in
-build_moves; soundness, dominance over the earlier bound and bounded cost
-of the heuristic; a differential test of exact lengths; and best-first's
-partial expansion against the full-expansion loop it replaced."""
+build_moves and its goal table; soundness, dominance over the earlier
+bound and bounded cost of the heuristic; differential tests of exact
+lengths, through xlength and of the two engines called directly; the
+deepening deadline; and best-first's partial expansion against the
+full-expansion loop it replaced."""
 
 import itertools
 import random
 import threading
+import time
 from functools import lru_cache
 from heapq import heappop, heappush
 
@@ -20,9 +23,17 @@ from wordweight.genset import (
     expand_generator,
     longest_expansion,
     max_usable_index,
+    normalize_conjugator,
     theta_value,
 )
-from wordweight.lengths import SearchBudget, chain_word, pool_bound, xlength
+from wordweight.lengths import (
+    Factorization,
+    SearchBudget,
+    chain_word,
+    pool_bound,
+    verify_factorization,
+    xlength,
+)
 from wordweight import search
 from wordweight.search import (
     MoveSet,
@@ -31,6 +42,7 @@ from wordweight.search import (
     _rebuild,
     best_first,
     build_moves,
+    deepening,
     make_heuristic,
     state_key,
 )
@@ -134,6 +146,20 @@ class TestBuildMoves:
         assert {m.inverse for m in families[2]}.isdisjoint(
             m.inverse for m in families[3]
         )
+
+    @pytest.mark.parametrize("spec", MOVE_SET_SPECS)
+    def test_goal_table_files_every_expansion_once(self, spec):
+        params, moves = move_set(*spec)
+        filed = [
+            (key, expansion, gen)
+            for key, table in moves.goals.items()
+            for expansion, gen in table.items()
+        ]
+        assert len(filed) == len(moves.moves)
+        assert {(e, g) for _, e, g in filed} == {
+            (expand_generator(mv.gen, params), mv.gen) for mv in moves.moves
+        }
+        assert all(key == state_key(e) for key, e, _ in filed)
 
 
 class TestHeuristic:
@@ -270,10 +296,12 @@ class TestDifferential:
             assert min(r.lower, 6) == blind_length(u), str(u)
 
 
-def full_expansion_best_first(u, moves, cap, h, budget):
+def full_expansion_best_first(u, moves, cap, h, budget, goal_of):
     """The best-first loop that partial expansion replaced, without the
     deadline: it builds every child, looks it up in best_g, and only then
-    scores it. The reference for ``search.best_first``."""
+    scores it. Its goal test looks up each state pushed, the root
+    included, in ``goal_of``, a plain map from each move's expansion to
+    its generator. The reference for ``search.best_first``."""
     if u.is_identity():
         return Outcome(0, [], 0, 0)
     start_h = h(state_key(u))
@@ -282,41 +310,41 @@ def full_expansion_best_first(u, moves, cap, h, budget):
     best_g = {u: 0}
     parents = {}
     heap = [(start_h, u.s_length, u.runs, 0, u)]
-    incumbent = None
+    incumbent = last = None
+    if u in goal_of:
+        incumbent, last = 1, (u, goal_of[u])
     nodes = 0
     while heap:
         f, _, _, cost, state = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+            return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
         if cost > best_g.get(state, -1):
             continue  # stale entry
         nodes += 1
         if nodes > budget.max_nodes:
-            partial = _rebuild(parents, u) if incumbent is not None else None
+            partial = _rebuild(parents, u, last) if incumbent is not None else None
             return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
-        limit = cap if incumbent is None else min(cap, incumbent - 1)
         for move in moves.moves:
+            limit = cap if incumbent is None else min(cap, incumbent - 1)
             nxt = move.inverse * state
-            if ncost < best_g.get(nxt, float("inf")):
-                if nxt.is_identity():
-                    best_g[nxt] = ncost
-                    parents[nxt] = (state, move.gen)
-                    incumbent = ncost
-                    limit = min(cap, incumbent - 1)
-                elif (f_nxt := ncost + h(state_key(nxt))) <= limit:
-                    best_g[nxt] = ncost
-                    parents[nxt] = (state, move.gen)
-                    heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
+            if ncost < best_g.get(nxt, float("inf")) and (
+                f_nxt := ncost + h(state_key(nxt))
+            ) <= limit:
+                best_g[nxt] = ncost
+                parents[nxt] = (state, move.gen)
+                heappush(heap, (f_nxt, nxt.s_length, nxt.runs, ncost, nxt))
+                if nxt in goal_of:
+                    incumbent, last = ncost + 1, (nxt, goal_of[nxt])
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, u), nodes, incumbent)
+        return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
     return Outcome(None, None, nodes, cap + 1)
 
 
 @lru_cache(maxsize=None)
 def engine_targets() -> tuple[Word, ...]:
-    """The differential targets, base-2 blocks, seeded perturbed blocks
-    and two chains, each once."""
+    """The differential targets, base-2 blocks and seeded perturbed
+    blocks, each once."""
     rng = random.Random(20261019)
     blocks = [
         Word.from_runs([("c", k0), ("a", 4), ("b", 4), ("c", k1)])
@@ -328,20 +356,85 @@ def engine_targets() -> tuple[Word, ...]:
         i = rng.randrange(len(runs) + 1)
         runs.insert(i, (rng.choice("abc"), rng.choice([-2, -1, 1, 2])))
         perturbed.append(Word.from_runs(runs))
-    chains = [chain_word(chain, P2) for chain in ([(1, 13), (1, 1)], [(1, 14), (1, 2)])]
-    return tuple(dict.fromkeys(differential_targets() + tuple(blocks + perturbed + chains)))
+    return tuple(dict.fromkeys(differential_targets() + tuple(blocks + perturbed)))
+
+
+CHAINS = tuple(
+    chain_word(chain, P2) for chain in ([(1, 13), (1, 1)], [(1, 14), (1, 2)])
+)
+
+
+@lru_cache(maxsize=None)
+def index2_targets() -> tuple[Word, ...]:
+    """Eight seeded base-2 index-2 expansions, conjugators of up to two
+    letters, with up to two letters added at either end. Without index 2
+    in the move set, each takes over 3000 nodes in best-first."""
+    rng = random.Random(20261020)
+    targets = {}
+    while len(targets) < 8:
+        conj = IDENTITY
+        for _ in range(rng.randint(0, 2)):
+            conj = conj * rng.choice(LETTERS).word()
+        u = expand_generator(normalize_conjugator(conj, 2, P2), P2)
+        for _ in range(rng.randint(0, 2)):
+            letter = rng.choice(LETTERS).word()
+            u = u * letter if rng.random() < 0.5 else letter * u
+        targets[u] = None
+    return tuple(targets)
+
+
+@lru_cache(maxsize=None)
+def ball_by_ab(radius: int) -> dict[tuple, list[tuple[Word, int]]]:
+    """``ball(radius)`` grouped by abelianisation."""
+    groups = {}
+    for w, d in ball(radius).items():
+        groups.setdefault(w.abelianize(), []).append((w, d))
+    return groups
+
+
+@lru_cache(maxsize=None)
+def index2_expansions() -> frozenset[Word]:
+    return frozenset(
+        expand_generator(gen, P2) for gen in enumerate_generators(P2, 2)
+    )
+
+
+def blind_length_with_index2(u: Word) -> int:
+    """Exact length over the letters and the base-2 families 1 and 2 when
+    it is at most 4, else 5; for theta(u) < 78 only. An index-2 generator
+    has a+b count 40 and every other symbol at least -1, so a
+    factorization with at most 4 symbols then holds at most one. With
+    none, ``blind_length`` finds it; with one, u = p x q or q x p with
+    p within 1 and q within 3 of the identity over index 1, and ab(q) is
+    fixed by ab(p), as every index-2 generator abelianizes alike."""
+    ab = u.abelianize()
+    assert ab[0] + ab[1] < 78
+    best = min(blind_length(u), 5)
+    x_ab = next(iter(index2_expansions())).abelianize()
+    xs = index2_expansions()
+    for p, dp in ball(1).items():
+        pab = p.abelianize()
+        want = tuple(ab[i] - pab[i] - x_ab[i] for i in range(3))
+        for q, dq in ball_by_ab(3).get(want, ()):
+            if dp + dq + 1 < best and (~p * u * ~q in xs or ~q * u * ~p in xs):
+                best = dp + dq + 1
+    return best
 
 
 class TestPartialExpansion:
-    # (move set, small and large node budgets): the index-2 family makes
-    # the full-expansion reference cost milliseconds per node, so its large
-    # budget stays low; the chains run into it
-    CASES = [((2, 0), (3, 100_000)), ((2, 40), (3, 60))]
+    # (move set, small and large node budgets, extra targets): the index-2
+    # family makes the full-expansion reference cost milliseconds per
+    # node, so its large budget stays low; the chains run into it
+    CASES = [
+        ((2, 0), (3, 100_000), ()),
+        ((2, 40), (3, 60), index2_targets()),
+    ]
 
-    @pytest.mark.parametrize("spec, budgets", CASES, ids=["families-1", "families-1-2"])
-    def test_matches_full_expansion(self, spec, budgets, monkeypatch):
+    @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=["families-1", "families-1-2"])
+    def test_matches_full_expansion(self, spec, budgets, extra, monkeypatch):
         params, moves = move_set(*spec)
         h = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
         products = []
         pushed = set()
         multiply = Word.__mul__
@@ -356,11 +449,11 @@ class TestPartialExpansion:
             heappush(heap, item)
 
         built = 0
-        for u in engine_targets():
+        for u in engine_targets() + CHAINS + extra:
             cap = xlength(u, params, mode="bracket").upper
             for max_nodes in budgets:
                 budget = SearchBudget(max_nodes=max_nodes)
-                expected = full_expansion_best_first(u, moves, cap, h, budget)
+                expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of)
                 products.clear()
                 pushed.clear()
                 with monkeypatch.context() as patch:
@@ -370,8 +463,70 @@ class TestPartialExpansion:
                 assert got == expected, str(u)
                 # Only children that pass the f test are multiplied out, and
                 # such a child is pushed unless best_g already holds it: it
-                # is the identity, the root or a pushed state. Scoring after
-                # the product would build children that are none of these.
-                assert pushed.union([IDENTITY, u]).issuperset(products), str(u)
+                # is the root or a pushed state. The identity never passes,
+                # as its parent is an expansion. Scoring after the product
+                # would build children that are none of these.
+                assert pushed.union([u]).issuperset(products), str(u)
                 built += len(products)
         assert built
+
+
+def checked_cost(outcome: Outcome, u: Word, params: GenSetParams) -> int | None:
+    """The outcome's cost, after its path multiplies back to u with
+    exactly that many symbols."""
+    if outcome.cost is not None:
+        product, count = verify_factorization(
+            Factorization.from_symbols(outcome.path), params
+        )
+        assert (product, count) == (u, outcome.cost), str(u)
+    return outcome.cost
+
+
+class TestEngines:
+    """Both engines called directly with cap = the bracket's upper end, so
+    that no bracket collapse decides a target first. The chains run at
+    families (1,) only: with index 2 in the move set they take over
+    20,000 nodes in either engine."""
+
+    CASES = [((2, 0), CHAINS), ((2, 40), index2_targets())]
+
+    @pytest.mark.parametrize("spec, extra", CASES, ids=["families-1", "families-1-2"])
+    def test_engines_agree_with_each_other_and_the_oracle(self, spec, extra):
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        budget = SearchBudget(max_nodes=20_000)
+        small = SearchBudget(max_nodes=3)
+        for u in engine_targets() + extra:
+            cap = xlength(u, params, mode="bracket").upper
+            first = best_first(u, moves, cap, h, budget, 0.0)
+            deep = deepening(u, moves, cap, h, budget, 0.0)
+            assert first.nodes <= budget.max_nodes and deep.nodes <= budget.max_nodes
+            cost = checked_cost(first, u, params)
+            assert checked_cost(deep, u, params) == cost, str(u)
+            # families (1,) are the oracle's own move set; with index 2
+            # the oracle is exact up to 4
+            if spec == (2, 0):
+                oracle, reach = blind_length(u), 6
+            else:
+                oracle, reach = blind_length_with_index2(u), 5
+            if cost is None:
+                assert oracle >= min(cap + 1, reach), str(u)
+            else:
+                assert min(cost, reach) == oracle, str(u)
+            # a pass bound cut short by the budget is still a lower end
+            cut = deepening(u, moves, cap, h, small, 0.0)
+            if cut.cost is None and cost is not None:
+                assert cut.lower_bound <= cost, str(u)
+
+    def test_deepening_deadline_on_index2_moves(self):
+        # every node scores 656 children, so a check only every 1024
+        # nodes would overrun by about a second
+        params, moves = move_set(2, 40)
+        u = Word.parse("a^16 b^16 c a^-3")
+        h = make_heuristic(params, moves.families)
+        cap = xlength(u, params, mode="bracket").upper
+        t0 = time.perf_counter()
+        out = deepening(u, moves, cap, h, SearchBudget(max_millis=50), t0)
+        overrun_ms = (time.perf_counter() - t0) * 1000 - 50
+        assert out.cost is None and 0 < out.nodes < 1000
+        assert overrun_ms < 100  # one node is about 1 ms
