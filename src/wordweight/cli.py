@@ -94,8 +94,16 @@ def _coerce_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+CONFIG_KEYS = ("base", "jmin", "jmax_cap", "mode", "max_nodes", "max_ms", "format")
+
+
 def build_run_config(args, default_mode: str) -> RunConfig:
     file_values = _parse_config_file(args.config) if args.config else {}
+    for key in file_values:
+        if key not in CONFIG_KEYS:
+            raise ValueError(
+                f"unknown config key {key!r} (known: {', '.join(CONFIG_KEYS)})"
+            )
 
     def pick(flag, key, default):
         if flag is not None:
@@ -106,7 +114,7 @@ def build_run_config(args, default_mode: str) -> RunConfig:
 
     base = _coerce_int(pick(args.base, "base", 5), "base")
     jmin = _coerce_int(pick(args.jmin, "jmin", 2), "jmin")
-    jmax = pick(args.jmax, "jmax_cap", file_values.get("jmax"))
+    jmax = pick(args.jmax, "jmax_cap", None)
     jmax = _coerce_int(jmax, "jmax") if jmax is not None else None
     mode = pick(args.mode, "mode", default_mode)
     if mode not in ("exact", "bracket", "family"):

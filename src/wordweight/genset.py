@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import BudgetExhausted, ConjugatorTooLong, IndexTooSmall
-from .words import HOM_AB, IDENTITY, LETTERS, Letter, Word, hom_value
+from .words import HOM_AB, LETTERS, Letter, Word, hom_value
 
 
 @dataclass(frozen=True)
@@ -128,34 +128,28 @@ def max_usable_index(
     return best
 
 
-def _reduced_suffix_letters(prev: Letter | None) -> list[Letter]:
-    return [
-        l
-        for l in LETTERS
-        if prev is None or not (l.base == prev.base and l.sign == -prev.sign)
-    ]
+def _conjugators(
+    length: int, prefix: tuple[Letter, ...] = ()
+) -> Iterator[tuple[Letter, ...]]:
+    """The reduced letter tuples of the given length that extend ``prefix``
+    and do not end in b^(+-1), lexicographic in the canonical letter order.
 
-
-def _words_of_length(length: int) -> Iterator[Word]:
-    """All reduced letter sequences of the given length not ending in
-    b^(+-1), lexicographic in the canonical letter order."""
-    if length == 0:
-        yield IDENTITY
+    The walk is depth-first, so a stream holds one prefix per level however
+    long the family is, and a b-final letter is never appended, so no
+    tuple is built only to be dropped.
+    """
+    if len(prefix) == length:
+        yield prefix
         return
-    stack: list[Letter] = []
-
-    def rec(depth: int) -> Iterator[Word]:
-        for letter in _reduced_suffix_letters(stack[-1] if stack else None):
-            if depth == length - 1 and letter.base == "b":
-                continue
-            stack.append(letter)
-            if depth == length - 1:
-                yield Word.from_runs((l.base, l.sign) for l in stack)
-            else:
-                yield from rec(depth + 1)
-            stack.pop()
-
-    yield from rec(0)
+    last = prefix[-1] if prefix else None
+    for letter in LETTERS:
+        if last is not None and letter.base == last.base and letter.sign != last.sign:
+            continue
+        word = prefix + (letter,)
+        if len(word) < length:
+            yield from _conjugators(length, word)
+        elif letter.base != "b":
+            yield word
 
 
 def family_size(params: GenSetParams, j: int) -> int:
@@ -219,5 +213,5 @@ def enumerate_generators(params: GenSetParams, j: int) -> Iterator[BigGen]:
     """
     _check_index(j, params)
     for length in range(params.conjugator_bound(j) + 1):
-        for v in _words_of_length(length):
-            yield BigGen(v, j)
+        for letters in _conjugators(length):
+            yield BigGen(Word.from_runs((l.base, l.sign) for l in letters), j)

@@ -52,46 +52,38 @@ class Certificate:
     direction: Direction
 
 
-def _family_slope(cert: Certificate, params: GenSetParams) -> int:
-    # Value on an index-j generator is B^(2j-1) times this, since the
-    # generator abelianizes to (B^(2j), B^(2j-1) + B^(2j), 0).
-    ca, cb, _ = cert.coeffs
-    return ca * params.base + cb * (params.base + 1)
+def _row(cert: Certificate, base: int) -> tuple[int, int, int, int]:
+    """The certificate as a row (ca, cb, cc, cap) that bounds by
+    ceil(value / cap), after checking that it is valid.
 
-
-def certificate_cap(cert: Certificate, params: GenSetParams) -> int:
-    """Largest one-sided value of the functional over all generators.
-
-    Raises InvalidCertificate when the functional is unbounded on the
-    indexed generators in the claimed direction.
+    Soundness. The row is the functional, negated for a LOWER
+    certificate, and cap the largest size of its coefficients, so every
+    letter has row value at most cap. An index-j generator abelianizes to
+    B^(2j-1) (B, B+1, 0), so its value is B^(2j-1) times the slope
+    ca B + cb (B+1), at most 0 <= cap when the slope is not positive.
+    Every generator then has value at most cap, and the row is additive,
+    so a factorization of u into n symbols has n cap >= value(u). A
+    positive slope makes the row unbounded on the indexed generators, and
+    a zero row certifies nothing; both raise InvalidCertificate.
     """
-    slope = _family_slope(cert, params)
-    if cert.direction is Direction.UPPER and slope > 0:
+    sign = 1 if cert.direction is Direction.UPPER else -1
+    ca, cb, cc = (sign * c for c in cert.coeffs)
+    if ca * base + cb * (base + 1) > 0:
+        side = "above" if sign > 0 else "below"
         raise InvalidCertificate(
-            f"{cert.coeffs} unbounded above on the indexed generators"
+            f"{cert.coeffs} unbounded {side} on the indexed generators"
         )
-    if cert.direction is Direction.LOWER and slope < 0:
-        raise InvalidCertificate(
-            f"{cert.coeffs} unbounded below on the indexed generators"
-        )
-    cap = max(abs(c) for c in cert.coeffs)
+    cap = max(abs(ca), abs(cb), abs(cc))
     if cap == 0:
         raise InvalidCertificate("zero functional certifies nothing")
-    return cap
+    return ca, cb, cc, cap
 
 
 def eval_certificate(cert: Certificate, u: Word, params: GenSetParams) -> int:
-    """A proven lower bound on the extended word length of u.
-
-    Every generator has functional value at most +cap (UPPER) or at least
-    -cap (LOWER), so a factorization with n symbols forces
-    n >= value(u)/cap, respectively n >= -value(u)/cap.
-    """
-    cap = certificate_cap(cert, params)
-    value = hom_value(cert.coeffs, u)
-    if cert.direction is Direction.LOWER:
-        value = -value
-    return max(0, -(-value // cap))
+    """A proven lower bound on the extended word length of u: the row's
+    bound (``_row``), and never below 0."""
+    ca, cb, cc, cap = _row(cert, params.base)
+    return max(0, -(-hom_value((ca, cb, cc), u) // cap))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +117,7 @@ def certified_power_collapse(
     """
     coeffs = tuple(1 if b == letter else 0 for b in ("a", "b", "c"))
     cert = Certificate(coeffs, Direction.UPPER)
-    cap = certificate_cap(cert, params)
+    cap = _row(cert, params.base)[3]
     coeff = 1  # functional value on letter^k is coeff * k
     for k in range(1, kmax + 1):
         lower = -(-coeff * k // cap)
@@ -138,12 +130,8 @@ def certified_power_collapse(
 
 @lru_cache(maxsize=None)
 def _pool_rows(base: int) -> tuple[tuple[int, int, int, int], ...]:
-    """``certificate_pool(base)`` negated, as (ca, cb, cc, cap) rows, so
-    that every row bounds by ceil(value / cap)."""
-    return tuple(
-        (-ca, -cb, -cc, max(abs(ca), abs(cb), abs(cc)))
-        for ca, cb, cc in (cert.coeffs for cert in certificate_pool(base))
-    )
+    """``certificate_pool(base)`` as rows (``_row``)."""
+    return tuple(_row(cert, base) for cert in certificate_pool(base))
 
 
 def pool_bound(ab: tuple[int, int, int], base: int) -> tuple[int, int | None]:
@@ -414,13 +402,11 @@ def family_length(
         return None
     k0, blocks = scan
     if len(blocks) > 1:
-        if k0 != 0 or blocks[-1][1] < 1:
+        if k0 != 0:
             return None
-        # also refuses adjacent blocks: every earlier separator must
-        # exceed 3 B^(2n) > 0
         try:
-            check_chain_constraint(blocks, params)
-        except ConstraintViolation:
+            _check_chain(blocks, params)
+        except ValueError:  # a separator below 1, or the separator rule
             return None
     return _blocks_length(k0, blocks, params), _blocks_factorization(k0, blocks, params)
 

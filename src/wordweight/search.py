@@ -15,10 +15,14 @@ built and build only the children that pass (partial expansion).
 
 The goal test is a lookup, not a move: a state is one move from the
 identity exactly when it is the expansion of some move, and the move
-set's goal table (``MoveSet.goals``) maps each expansion, filed under its
-state key, to its generator. So neither engine ever builds the identity,
-and best-first takes an incumbent as soon as it pushes an expansion.
-Node counts are expanded states in both engines.
+set's goal table (``MoveSet.goals``) maps each expansion to its
+generator. So neither engine ever builds the identity, and best-first
+takes an incumbent as soon as it pushes an expansion. Node counts are
+expanded states in both engines.
+
+A move set depends on the parameters and the families below the index
+cutoff alone, so each one, with its goal table, is built once per
+process; each family is listed once per process too.
 """
 
 from __future__ import annotations
@@ -64,14 +68,11 @@ class Move:
         )
 
 
-Goals = dict[tuple[int, int, int, int], dict[Word, Gen]]
-
-
 @dataclass
 class MoveSet:
     moves: list[Move]
     families: tuple[int, ...]  # indices of the indexed generators, ascending
-    goals: Goals  # state key -> {expansion with that key: its generator}
+    goals: dict[Word, Gen]  # expansion -> its generator
 
 
 @dataclass(frozen=True)
@@ -82,19 +83,7 @@ class Outcome:
     lower_bound: int  # proven even when no factorization was found
 
 
-def _goal_table(moves) -> Goals:
-    """Each move's expansion (``~move.inverse``), filed under its state key,
-    mapped to the move's generator. The key is read off the move, whose
-    inverse has the negated abelianisation and the same letter count."""
-    table: Goals = {}
-    for move in moves:
-        na, nb, nc = move.ab
-        table.setdefault((-na, -nb, -nc, move.letters), {})[~move.inverse] = move.gen
-    return table
-
-
 _LETTER_MOVES = tuple(Move.of(letter, ~letter.word()) for letter in LETTERS)
-_LETTER_GOALS = _goal_table(_LETTER_MOVES)
 
 
 @lru_cache(maxsize=16)
@@ -111,10 +100,15 @@ def _family_moves(params: GenSetParams, j: int) -> tuple[Move, ...]:
 
 
 @lru_cache(maxsize=16)
-def _family_goals(params: GenSetParams, j: int) -> Goals:
-    """The goal table of the index-j family, built once per process like
-    the family itself; callers never mutate it."""
-    return _goal_table(_family_moves(params, j))
+def _move_set(
+    params: GenSetParams, families: tuple[int, ...]
+) -> tuple[tuple[Move, ...], dict[Word, Gen]]:
+    """The letters and the given families as moves, and their goal table:
+    each expansion (``~move.inverse``) mapped to its generator. Distinct
+    generators have distinct expansions (``family_size``), so no entry is
+    lost. Callers never mutate what this returns."""
+    moves = _LETTER_MOVES + sum((_family_moves(params, j) for j in families), ())
+    return moves, {~move.inverse: move.gen for move in moves}
 
 
 def build_moves(
@@ -125,22 +119,15 @@ def build_moves(
     Raises BudgetExhausted, before listing anything, if some index family
     below the cutoff has more generators than the node budget (its size
     is known in closed form, ``family_size``), so paper-scale bases fail
-    at once.
+    at once. The move list is the caller's own; the goal table is shared
+    by every call with the same families and is never mutated.
     """
     cutoff = max_usable_index(u, upper_bound, params)
     families = () if cutoff is None else tuple(range(params.jmin, cutoff + 1))
     for j in families:
         check_family_size(params, j, budget.max_nodes)
-    moves = list(_LETTER_MOVES)
-    # The tables' keys never collide: a letter's expansion has one letter
-    # and a unit abelianisation, an index-j expansion abelianises to
-    # B^(2j-1) (B, B+1, 0). So the merge copies a few keys, not the
-    # expansions filed under them.
-    goals = dict(_LETTER_GOALS)
-    for j in families:
-        moves.extend(_family_moves(params, j))
-        goals.update(_family_goals(params, j))
-    return MoveSet(moves=moves, families=families, goals=goals)
+    moves, goals = _move_set(params, families)
+    return MoveSet(moves=list(moves), families=families, goals=goals)
 
 
 def state_key(r: Word) -> tuple[int, int, int, int]:
@@ -302,8 +289,7 @@ def best_first(
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
-    root_key = state_key(u)
-    start_h = h(root_key)
+    start_h = h(state_key(u))
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
@@ -315,9 +301,9 @@ def best_first(
     ]
     incumbent: int | None = None
     last: tuple[Word, Gen] | None = None  # the incumbent's expansion state
-    hits = goals.get(root_key)
-    if hits is not None and u in hits:
-        incumbent, last = 1, (u, hits[u])
+    gen = goals.get(u)
+    if gen is not None:
+        incumbent, last = 1, (u, gen)
     nodes = 0
     while heap:
         f, slen, runs, cost, state = heappop(heap)
@@ -356,9 +342,9 @@ def best_first(
                 best_g[nxt] = ncost
                 parents[nxt] = (state, move.gen)
                 heappush(heap, (f_nxt, letters, nxt.runs, ncost, nxt))
-                hits = goals.get(key)
-                if hits is not None and nxt in hits:
-                    incumbent, last = ncost + 1, (nxt, hits[nxt])
+                gen = goals.get(nxt)
+                if gen is not None:
+                    incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
     if incumbent is not None:
         return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
@@ -377,10 +363,6 @@ def _rebuild(
         path.append(gen)
     path.reverse()
     return path
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 def deepening(
@@ -402,7 +384,9 @@ def deepening(
     and checked against the path. Nodes, the unit of ``max_nodes``, are
     the states visited, each checked against the deadline. A visited
     state is looked up in the goal table first, and a hit ends the
-    search: the path so far and the generator the table names.
+    search: the path so far and the generator the table names. The walk
+    keeps its own stack of frames instead of recursing, so a path may be
+    longer than Python's recursion limit.
 
     The first factorization found is optimal. The visited state has
     f = cost + h <= bound and h >= 1, so the factorization has
@@ -427,56 +411,53 @@ def deepening(
     deadline = _deadline(budget, t0)
     move_list, goals = moves.moves, moves.goals
     nodes = 0
-    path: list[Gen] = []
-    on_path = {u}
-    overshoot = _INF
-
-    def dfs(state: Word, key: tuple[int, int, int, int], cost: int, bound: int) -> bool:
-        nonlocal nodes, overshoot
-        nodes += 1
-        if nodes > budget.max_nodes or (
-            deadline is not None and time.perf_counter() > deadline
-        ):
-            raise _OutOfBudget
-        hits = goals.get(key)
-        if hits is not None and state in hits:
-            path.append(hits[state])
-            return True
-        ncost = cost + 1
-        na, nb, nc, slen = key
-        runs = state.runs
-        head = runs[0][0]
-        for move in move_list:  # the scoring of ``best_first``, inline
-            letters = move.letters + slen
-            if move.tail == head:
-                letters -= seam(move.inverse.runs, runs)[2]
-            dna, dnb, dnc = move.ab
-            nkey = (na + dna, nb + dnb, nc + dnc, letters)
-            f = ncost + h(nkey)
-            if f > bound:
-                if f < overshoot:
-                    overshoot = f
-                continue
-            nxt = move.inverse * state
-            if nxt in on_path:
-                continue
-            on_path.add(nxt)
-            path.append(move.gen)
-            if dfs(nxt, nkey, ncost, bound):
-                return True
-            path.pop()
-            on_path.discard(nxt)
-        return False
-
     root_key = state_key(u)
     bound = h(root_key)
     while bound <= cap:
         overshoot = _INF
-        try:
-            if dfs(u, root_key, 0, bound):
-                return Outcome(len(path), list(path), nodes, len(path))
-        except _OutOfBudget:
-            return Outcome(None, None, nodes, bound)
+        path: list[Gen] = []  # the moves from u to the last state reached
+        on_path = {u}
+        # one frame per state on the path: the state, its key, the cost of
+        # its children and an iterator over the moves not yet tried from it
+        frames = []
+        state, key = u, root_key  # the state to visit next
+        while state is not None:
+            nodes += 1
+            if nodes > budget.max_nodes or (
+                deadline is not None and time.perf_counter() > deadline
+            ):
+                return Outcome(None, None, nodes, bound)
+            gen = goals.get(state)
+            if gen is not None:
+                path.append(gen)
+                return Outcome(len(path), path, nodes, len(path))
+            frames.append((state, key, len(frames) + 1, iter(move_list)))
+            state = None
+            while state is None and frames:
+                parent, (na, nb, nc, slen), ncost, untried = frames[-1]
+                runs = parent.runs
+                head = runs[0][0]
+                for move in untried:  # the scoring of ``best_first``, inline
+                    letters = move.letters + slen
+                    if move.tail == head:
+                        letters -= seam(move.inverse.runs, runs)[2]
+                    dna, dnb, dnc = move.ab
+                    nkey = (na + dna, nb + dnb, nc + dnc, letters)
+                    f = ncost + h(nkey)
+                    if f > bound:
+                        if f < overshoot:
+                            overshoot = f
+                        continue
+                    nxt = move.inverse * parent
+                    if nxt not in on_path:
+                        on_path.add(nxt)
+                        path.append(move.gen)
+                        state, key = nxt, nkey
+                        break
+                else:  # every child tried: back up one step
+                    frames.pop()
+                    on_path.discard(parent)
+                    del path[-1:]  # the move into parent; the root has none
         if overshoot is _INF:
             # Whole graph below the cap explored without reaching the target.
             return Outcome(None, None, nodes, cap + 1)

@@ -288,6 +288,25 @@ class TestConfig:
         assert code == 2 and not out
         assert err == f"error: {message}\n"
 
+    # a mistyped key, and the old alias of jmax_cap, are refused rather
+    # than dropped (max_node=5 used to run under the 500k default budget)
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("run.cfg", "base=2\njmin=1\nmax_node=5\n"),
+            ("run.json", json.dumps({"base": 2, "max_node": 5})),
+            ("run.cfg", "jmax=2\n"),
+        ],
+        ids=["mistyped-key", "mistyped-key-json", "jmax-alias"],
+    )
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path, name, text):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, out, err = run(capsys, "xlen", "--config", str(cfg), "a b")
+        key = "jmax" if "jmax" in text else "max_node"
+        assert code == 2 and not out
+        assert err.startswith(f"error: unknown config key {key!r} (known: base,")
+
     def test_csv_output_to_file(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,32 @@ class TestEnumeration:
             W("c"),
             W("c^-1"),
         ]
+
+    @pytest.mark.parametrize("base, j", [(2, 1), (2, 2), (3, 1)])
+    def test_order_is_the_filtered_product(self, base, j):
+        # move order sets the search engines' tie-breaks, so node counts
+        params = GenSetParams(base=base, jmin=1)
+        expected = [
+            Word.from_runs((l.base, l.sign) for l in letters)
+            for n in range(params.conjugator_bound(j) + 1)
+            for letters in itertools.product(LETTERS, repeat=n)
+            if all(x.base != y.base or x.sign == y.sign for x, y in zip(letters, letters[1:]))
+            and not (letters and letters[-1].base == "b")
+        ]
+        assert [g.conj for g in enumerate_generators(params, j)] == expected
+
+    def test_stream_is_lazy_at_canonical_base(self):
+        # the index-2 family at base 5 has 5^25 generators: callers take a
+        # prefix, so the walk must not build a level of words at a time
+        tracemalloc.start()
+        try:
+            stream = itertools.islice(enumerate_generators(P5, 2), 200_000)
+            taken = sum(1 for _ in stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taken == 200_000
+        assert peak < 10_000_000, peak
 
     def test_stream_prefix_at_canonical_base(self):
         gens = list(itertools.islice(enumerate_generators(P5, 2), 10))

@@ -7,6 +7,7 @@ full-expansion loop it replaced."""
 
 import itertools
 import random
+import sys
 import threading
 import time
 from functools import lru_cache
@@ -39,6 +40,7 @@ from wordweight.search import (
     MoveSet,
     Outcome,
     _family_moves,
+    _move_set,
     _rebuild,
     best_first,
     build_moves,
@@ -138,28 +140,24 @@ class TestBuildMoves:
         assert second.moves is not first.moves
 
     def test_bases_do_not_share_families(self):
-        families = {}
+        expansions = {}
         for base in (2, 3):
             params = GenSetParams(base=base, jmin=1)
-            families[base] = _family_moves(params, 1)
-        assert len(families[2]) == 25 and len(families[3]) == 125
-        assert {m.inverse for m in families[2]}.isdisjoint(
-            m.inverse for m in families[3]
-        )
+            moves, goals = _move_set(params, (1,))
+            assert _move_set(params, (1,))[1] is goals  # built once per process
+            assert moves[6:] == _family_moves(params, 1)
+            expansions[base] = {e for e, g in goals.items() if isinstance(g, BigGen)}
+        assert len(expansions[2]) == 25 and len(expansions[3]) == 125
+        assert expansions[2].isdisjoint(expansions[3])
 
     @pytest.mark.parametrize("spec", MOVE_SET_SPECS)
     def test_goal_table_files_every_expansion_once(self, spec):
         params, moves = move_set(*spec)
-        filed = [
-            (key, expansion, gen)
-            for key, table in moves.goals.items()
-            for expansion, gen in table.items()
-        ]
-        assert len(filed) == len(moves.moves)
-        assert {(e, g) for _, e, g in filed} == {
-            (expand_generator(mv.gen, params), mv.gen) for mv in moves.moves
+        # one entry per move: distinct generators have distinct expansions
+        assert len(moves.goals) == len(moves.moves)
+        assert moves.goals == {
+            expand_generator(mv.gen, params): mv.gen for mv in moves.moves
         }
-        assert all(key == state_key(e) for key, e, _ in filed)
 
 
 class TestHeuristic:
@@ -517,6 +515,15 @@ class TestEngines:
             cut = deepening(u, moves, cap, h, small, 0.0)
             if cut.cost is None and cost is not None:
                 assert cut.lower_bound <= cost, str(u)
+
+    def test_paths_deeper_than_the_recursion_limit(self):
+        # every optimal path has 1202 steps; deepening recursed once per
+        # step and raised RecursionError here
+        u = Word.parse("a^-1 b^-1 " * 600 + "a b")
+        assert u.s_length == 1202 > sys.getrecursionlimit()
+        r = xlength(u, P2, algorithm="dual")
+        assert (r.lower, r.upper, r.method) == (1202, 1202, "dual")
+        assert not r.budget_exhausted
 
     def test_deepening_deadline_on_index2_moves(self):
         # every node scores 656 children, so a check only every 1024
