@@ -22,11 +22,15 @@ expanded states in both engines.
 
 A move set depends on the parameters and the families below the index
 cutoff alone, so each one, with its goal table, is built once per
-process; each family is listed once per process too.
+process; each family is listed once per process too. So is the
+heuristic: its value at a key depends on the parameters, the families
+and the key alone, so every search with the same families reads one
+memo, which holds at most ``_MEMO_LIMIT`` keys.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,13 +139,24 @@ def state_key(r: Word) -> tuple[int, int, int, int]:
     return (*r.abelianize(), r.s_length)
 
 
+@lru_cache(maxsize=16)
 def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     """Admissible lower bound on the word length of a remainder over the
     letters and the indexed ``families`` (ascending): the exact abelian
-    relaxation, found in O(log |r|) steps and cached per key. It is a
-    function of the remainder's ``state_key`` (ab(r), |r|) alone, which it
-    takes as its one argument. It needs only closed-form family data, so
-    it never lists a family.
+    relaxation, found in O(log |r|) steps. It is a function of the
+    remainder's ``state_key`` (ab(r), |r|) alone, which it takes as its
+    one argument. It needs only closed-form family data, so it never
+    lists a family.
+
+    Sharing. One heuristic is built per process for each
+    ``(params, families)``, and its values are kept in one memo that every
+    search with those families reads. This is sound because a value
+    depends only on the base, d_jmin, d_J and E below and on the key, all
+    fixed by the arguments of this call and of the lookup, and never on
+    the search, the target or an earlier lookup: a shared memo returns
+    what a fresh one would, so no bracket, witness, node count or report
+    depends on which searches ran before. The memo holds at most
+    ``_MEMO_LIMIT`` keys (see ``_Memo``).
 
     Soundness. Let B be the base, g = (B, B+1, 0), and let the families
     be the indices j in [jmin, J]. Whatever its conjugator, an index-j
@@ -221,15 +236,36 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     return _Memo(relaxation).__getitem__
 
 
+# Keys one memo may hold. An entry costs about 272 bytes (CPython 3.11,
+# 64-bit) while the key's four integers and the value are all below 2^30
+# in size, and 4 bytes more for each further 30 bits in any one of them;
+# so a full memo takes about 8.9 MB, and the 16 that ``make_heuristic``
+# keeps at most 143 MB. The largest memo one search is known to need
+# holds 2,743 keys (a^16 b^16 at base 2, 8,421 nodes).
+_MEMO_LIMIT = 1 << 15
+
+
 class _Memo(dict):
-    """Values of ``fn`` by argument tuple, computed on first lookup."""
+    """Values of ``fn`` by argument tuple, computed on first lookup.
+
+    A miss that finds ``_MEMO_LIMIT`` keys stored empties the memo before
+    it stores its own; the check runs on misses only, so a hit is still a
+    plain ``dict.__getitem__``. ``fn`` is pure, so a value computed again
+    after a clear, or by two threads at once, is the same value; the lock
+    only keeps the size within the limit when threads miss together.
+    """
 
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
+        self.lock = threading.Lock()
 
     def __missing__(self, key):
-        value = self[key] = self.fn(*key)
+        value = self.fn(*key)
+        with self.lock:
+            if len(self) >= _MEMO_LIMIT:
+                self.clear()
+            self[key] = value
         return value
 
 

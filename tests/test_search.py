@@ -1,10 +1,12 @@
 """The move set and the search heuristic: refusal and caching in
 build_moves and its goal table; soundness, dominance over the earlier
-bound and bounded cost of the heuristic; differential tests of exact
+bound and bounded cost of the heuristic, and its one bounded memo per
+move set, shared by searches and threads; differential tests of exact
 lengths, through xlength and of the two engines called directly; the
 deepening deadline; and best-first's partial expansion against the
 full-expansion loop it replaced."""
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -226,6 +228,87 @@ class TestHeuristic:
             worker.start()
             worker.join(timeout=10)
             assert values == [2 * n]
+
+    def test_one_memo_per_params_and_families(self):
+        h = make_heuristic(P2, (1,))
+        assert make_heuristic(GenSetParams(base=2, jmin=1), (1,)) is h
+        others = [
+            make_heuristic(P2, (1, 2)),
+            make_heuristic(GenSetParams(base=3, jmin=1), (1,)),
+            make_heuristic(GenSetParams(base=2, jmin=2), (2,)),
+        ]
+        memos = [f.__self__ for f in [h] + others]
+        assert len({id(memo) for memo in memos}) == len(memos)
+        key = state_key(Word.parse("a^5 b^7 c"))
+        h(key)
+        assert key in memos[0] and not any(key in memo for memo in memos[1:])
+
+    @pytest.mark.parametrize("algorithm", ["best-first", "deepening", "dual"])
+    def test_warm_memo_changes_no_result(self, algorithm):
+        # every field but the time must match between a search with a
+        # fresh memo and one that finds the keys of every other target
+        # already stored
+        targets = engine_targets()
+
+        def results(order):
+            return {
+                u: dataclasses.replace(xlength(u, P2, algorithm=algorithm), ms=0.0)
+                for u in order
+            }
+
+        make_heuristic.cache_clear()
+        cold = results(targets)
+        assert len(make_heuristic(P2, (1,)).__self__) > 0
+        warm = results(reversed(targets))
+        assert warm == cold
+        assert sum(r.nodes_expanded for r in cold.values()) > 0
+
+    def test_memo_limit(self, monkeypatch):
+        rng = random.Random(11)
+        words = [
+            Word.from_runs([(rng.choice("abc"), rng.randint(-40, 40) or 1) for _ in range(4)])
+            for _ in range(400)
+        ]
+        keys = list(dict.fromkeys(state_key(u) for u in words))
+        fresh = make_heuristic.__wrapped__(P2, (1, 2))
+        expected = [fresh(key) for key in keys]
+        monkeypatch.setattr(search, "_MEMO_LIMIT", 50)
+        h = make_heuristic.__wrapped__(P2, (1, 2))
+        for _ in range(2):  # the second pass misses again after each clear
+            values = []
+            for key in keys:
+                values.append(h(key))
+                assert len(h.__self__) <= 50
+            assert values == expected
+
+    def test_threads_share_one_memo(self, monkeypatch):
+        # a small limit makes threads clear the memo under each other's
+        # lookups; a value recomputed or stored twice is still the value
+        targets = engine_targets() + index2_targets()[:2]
+
+        def run(out):
+            for u in targets:
+                out.append(dataclasses.replace(xlength(u, P2, algorithm="dual"), ms=0.0))
+
+        make_heuristic.cache_clear()
+        expected = []
+        run(expected)
+        monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
+        make_heuristic.cache_clear()
+        outs = [[] for _ in range(4)]  # more threads than a small host has cores
+        workers = [threading.Thread(target=run, args=(out,), daemon=True) for out in outs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(out == expected for out in outs)
+        assert all(len(make_heuristic(P2, f).__self__) <= 64 for f in [(1,), (1, 2)])
 
 
 @lru_cache(maxsize=None)
