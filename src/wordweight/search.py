@@ -30,7 +30,6 @@ memo, which holds at most ``_MEMO_LIMIT`` keys.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -156,7 +155,7 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     the search, the target or an earlier lookup: a shared memo returns
     what a fresh one would, so no bracket, witness, node count or report
     depends on which searches ran before. The memo holds at most
-    ``_MEMO_LIMIT`` keys (see ``_Memo``).
+    ``_MEMO_LIMIT`` keys, evicting the least recently used.
 
     Soundness. Let B be the base, g = (B, B+1, 0), and let the families
     be the indices j in [jmin, J]. Whatever its conjugator, an index-j
@@ -209,7 +208,8 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     d_hi = params.inner_exp(families[-1])
     grow = longest_expansion(params, families[-1]) - 1
 
-    def relaxation(na: int, nb: int, nc: int, slen: int) -> int:
+    def relaxation(key: tuple[int, int, int, int]) -> int:
+        na, nb, nc, slen = key
         fixed = w * abs(nc)
         balanced = abs(w * na - base * nb)  # w R(nb / w)
 
@@ -233,40 +233,16 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
         return -(-scaled_h(lo) // w)
 
     # a cache hit, the common case, runs no Python frame
-    return _Memo(relaxation).__getitem__
+    return lru_cache(maxsize=_MEMO_LIMIT)(relaxation)
 
 
-# Keys one memo may hold. An entry costs about 272 bytes (CPython 3.11,
-# 64-bit) while the key's four integers and the value are all below 2^30
-# in size, and 4 bytes more for each further 30 bits in any one of them;
-# so a full memo takes about 8.9 MB, and the 16 that ``make_heuristic``
-# keeps at most 143 MB. The largest memo one search is known to need
-# holds 2,743 keys (a^16 b^16 at base 2, 8,421 nodes).
+# Keys one memo may hold; past it the least recently used key goes. An
+# entry costs at most about 375 bytes (CPython 3.11, 64-bit) while the
+# key's four integers and the value are all below 2^30 in size, so a full
+# memo takes about 12 MB, and the 16 that ``make_heuristic`` keeps at most
+# 200 MB. The largest memo one search is known to need holds 2,743 keys
+# (a^16 b^16 at base 2, 8,421 nodes).
 _MEMO_LIMIT = 1 << 15
-
-
-class _Memo(dict):
-    """Values of ``fn`` by argument tuple, computed on first lookup.
-
-    A miss that finds ``_MEMO_LIMIT`` keys stored empties the memo before
-    it stores its own; the check runs on misses only, so a hit is still a
-    plain ``dict.__getitem__``. ``fn`` is pure, so a value computed again
-    after a clear, or by two threads at once, is the same value; the lock
-    only keeps the size within the limit when threads miss together.
-    """
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-        self.lock = threading.Lock()
-
-    def __missing__(self, key):
-        value = self.fn(*key)
-        with self.lock:
-            if len(self) >= _MEMO_LIMIT:
-                self.clear()
-            self[key] = value
-        return value
 
 
 def _deadline(budget: SearchBudget, t0: float) -> float | None:

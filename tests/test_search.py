@@ -237,11 +237,14 @@ class TestHeuristic:
             make_heuristic(GenSetParams(base=3, jmin=1), (1,)),
             make_heuristic(GenSetParams(base=2, jmin=2), (2,)),
         ]
-        memos = [f.__self__ for f in [h] + others]
-        assert len({id(memo) for memo in memos}) == len(memos)
+        assert len({id(f) for f in [h] + others}) == 1 + len(others)
         key = state_key(Word.parse("a^5 b^7 c"))
+        before = [f.cache_info().misses for f in others]
         h(key)
-        assert key in memos[0] and not any(key in memo for memo in memos[1:])
+        hits = h.cache_info().hits
+        assert h(key) == make_heuristic(GenSetParams(base=2, jmin=1), (1,))(key)
+        assert h.cache_info().hits == hits + 2
+        assert [f.cache_info().misses for f in others] == before
 
     @pytest.mark.parametrize("algorithm", ["best-first", "deepening", "dual"])
     def test_warm_memo_changes_no_result(self, algorithm):
@@ -258,7 +261,7 @@ class TestHeuristic:
 
         make_heuristic.cache_clear()
         cold = results(targets)
-        assert len(make_heuristic(P2, (1,)).__self__) > 0
+        assert make_heuristic(P2, (1,)).cache_info().currsize > 0
         warm = results(reversed(targets))
         assert warm == cold
         assert sum(r.nodes_expanded for r in cold.values()) > 0
@@ -274,15 +277,16 @@ class TestHeuristic:
         expected = [fresh(key) for key in keys]
         monkeypatch.setattr(search, "_MEMO_LIMIT", 50)
         h = make_heuristic.__wrapped__(P2, (1, 2))
-        for _ in range(2):  # the second pass misses again after each clear
+        for _ in range(2):  # the second pass misses again after each eviction
             values = []
             for key in keys:
                 values.append(h(key))
-                assert len(h.__self__) <= 50
+                assert h.cache_info().currsize <= 50
             assert values == expected
+        assert h.cache_info().misses == 2 * len(keys) > 100
 
     def test_threads_share_one_memo(self, monkeypatch):
-        # a small limit makes threads clear the memo under each other's
+        # a small limit makes threads evict keys under each other's
         # lookups; a value recomputed or stored twice is still the value
         targets = engine_targets() + index2_targets()[:2]
 
@@ -308,7 +312,7 @@ class TestHeuristic:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert all(out == expected for out in outs)
-        assert all(len(make_heuristic(P2, f).__self__) <= 64 for f in [(1,), (1, 2)])
+        assert all(make_heuristic(P2, f).cache_info().currsize <= 64 for f in [(1,), (1, 2)])
 
 
 @lru_cache(maxsize=None)
