@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionViolated, UnknownLength
 from .genset import GenSetParams, _check_index, normalize_conjugator, expand_generator
@@ -361,9 +361,18 @@ def vector_to_literal(f: WeightedVector) -> list[dict]:
 def vector_from_literal(
     provider: WeightProvider, items: list[dict]
 ) -> WeightedVector:
-    """Parse the wire form; repeated words accumulate."""
+    """Parse the wire form; repeated words accumulate. The mantissa is a
+    "p/q" string or an int and ``exp`` an int: ValueError names the item
+    otherwise, since a float or bool would be read as a different number."""
     entries: dict[Word, ExpSum] = {}
-    for item in items:
+    for i, item in enumerate(items):
+        where = f"item {i} ({item['word']!r})"
+        if isinstance(item["exp"], (bool, float)):
+            raise ValueError(f"{where}: exp must be an integer, got {item['exp']!r}")
+        if isinstance(item["mantissa"], (bool, float)):
+            raise ValueError(
+                f"{where}: mantissa must be a 'p/q' string, got {item['mantissa']!r}"
+            )
         w = Word.parse(item["word"])
         mantissa = Fraction(item["mantissa"])
         exponent = int(item["exp"])
@@ -503,13 +512,11 @@ def sandwich_norm_bound(
 # --- chained products and the spectral probe -----------------------------------
 
 
-def chain_product(
+def chain_prefixes(
     blocks: list[tuple[int, int]], provider: WeightProvider
-) -> WeightedVector:
-    """Convolution of normalized point masses along a chain of blocks and
-    separator c-powers. The result is the normalized point mass of the
-    chain word: its pairing against the weight functional is exactly 1.
-    """
+) -> Iterator[WeightedVector]:
+    """``chain_product`` of each nonempty prefix of blocks, shortest
+    first, from one walk along the chain."""
     params = provider.params
     _require_canonical(params)
     _check_chain(blocks, params)
@@ -517,6 +524,17 @@ def chain_product(
     for n, k in blocks:
         result = convolve(result, normalized_point_mass(block_word(n, params), provider))
         result = convolve(result, normalized_point_mass(Word((("c", k),)), provider))
+        yield result
+
+
+def chain_product(
+    blocks: list[tuple[int, int]], provider: WeightProvider
+) -> WeightedVector:
+    """Convolution of normalized point masses along a chain of blocks and
+    separator c-powers. The result is the normalized point mass of the
+    chain word: its pairing against the weight functional is exactly 1.
+    """
+    *_, result = chain_prefixes(blocks, provider)
     return result
 
 

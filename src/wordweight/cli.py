@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .algebra import (
     WeightProvider,
-    chain_product,
+    chain_prefixes,
     min_tail_index,
     pair_omega,
     sandwich_decay_bound,
@@ -334,14 +334,15 @@ def cmd_radical_demo(args) -> int:
             )
 
     cyclic_k = _min_separator(2, params)
+    # one walk along the longest chain; its prefixes are the shorter ones
+    chains = list(chain_prefixes([(2, cyclic_k)] * max(args.kmax, args.r), provider))
     pairing_rows = []
-    for t in range(1, args.kmax + 1):
-        vec = chain_product([(2, cyclic_k)] * t, provider)
+    for t, vec in enumerate(chains[: args.kmax], start=1):
         pairing = pair_omega(vec)
         pairing_rows.append(
             {"chain_blocks": t, "pairing": str(pairing), "ok": pairing.equals(1)}
         )
-    probe_vec = chain_product([(2, cyclic_k)] * args.r, provider)
+    probe_vec = chains[args.r - 1]
     probe_vector_literal = vector_to_literal(probe_vec)
     probe_rows = []
     for k, root in enumerate(spectral_probe(probe_vec, args.kmax), start=1):

@@ -33,10 +33,11 @@ from .genset import (
     expand_generator,
 )
 from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
-from .words import IDENTITY, Letter, Word, hom_value
+from .words import IDENTITY, LETTERS, Word, hom_value
 
-C_POS = Letter("c", 1)
-B_NEG = Letter("b", -1)
+_LETTER = {(x.base, x.sign): x for x in LETTERS}
+C_POS = _LETTER["c", 1]
+B_NEG = _LETTER["b", -1]
 
 
 class Direction(Enum):
@@ -86,6 +87,9 @@ def eval_certificate(cert: Certificate, u: Word, params: GenSetParams) -> int:
     return max(0, -(-hom_value((ca, cb, cc), u) // cap))
 
 
+_POOL_CAP = 3  # the pool's coefficients lie in [-_POOL_CAP, _POOL_CAP]
+
+
 @lru_cache(maxsize=None)
 def certificate_pool(base: int) -> tuple[Certificate, ...]:
     """Every valid primitive functional with coefficients in [-3, 3], once,
@@ -98,7 +102,7 @@ def certificate_pool(base: int) -> tuple[Certificate, ...]:
     """
     return tuple(
         Certificate(coeffs, Direction.LOWER)
-        for coeffs in product(range(-3, 4), repeat=3)
+        for coeffs in product(range(-_POOL_CAP, _POOL_CAP + 1), repeat=3)
         if gcd(*coeffs) == 1 and coeffs[0] * base + coeffs[1] * (base + 1) >= 0
     )
 
@@ -134,18 +138,77 @@ def _pool_rows(base: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(_row(cert, base) for cert in certificate_pool(base))
 
 
+def _hull(points: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Vertices of the convex hull of at least three points in the plane,
+    in order, without the points on an edge (Andrew's monotone chain)."""
+    points = sorted(set(points))
+
+    def turns_left(o, a, b) -> bool:
+        return (a[0] - o[0]) * (b[1] - o[1]) > (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+        for p in seq:
+            while len(out) >= 2 and not turns_left(out[-2], out[-1], p):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return tuple(chain(points) + chain(reversed(points)))
+
+
+@lru_cache(maxsize=None)
+def _pool_hulls(base: int) -> tuple[tuple[int, int, int], ...]:
+    """(ra, rb, k) for each cap k in 1.._POOL_CAP and each hull vertex
+    (ra, rb) of P_k, the integer pairs in [-k, k]^2 with
+    ra B + rb (B+1) <= 0."""
+    return tuple(
+        (ra, rb, k)
+        for k in range(1, _POOL_CAP + 1)
+        for ra, rb in _hull([
+            (ra, rb)
+            for ra in range(-k, k + 1)
+            for rb in range(-k, k + 1)
+            if ra * base + rb * (base + 1) <= 0
+        ])
+    )
+
+
 def pool_bound(ab: tuple[int, int, int], base: int) -> tuple[int, int | None]:
     """Best pool bound on an abelianization and the pool index of the
-    first certificate reaching it (None when the bound is 0)."""
+    first certificate reaching it (None when the bound is 0).
+
+    The best value comes in closed form, without scanning the pool. For a
+    cap k let V_k = k |nc| + the largest ra na + rb nb over the hull
+    vertices of P_k (``_pool_hulls``); a linear function is largest over
+    a finite set at a vertex of its hull. The bound is
+    max(0, max_k ceil(V_k / k)), computed as |nc| + max_k ceil(M_k / k)
+    with M_k = V_k - k |nc|.
+
+    It equals the best pool row, in both directions:
+      * <=: a pool row (ra, rb, rc) of cap k has (ra, rb) in P_k and
+        |rc| <= k, so its value is at most V_k;
+      * >=: take the maximiser r = (ra, rb, k sign(nc)) with V_k > 0
+        (sign(0) = 1). Its primitive reduction r/g satisfies the same
+        homogeneous constraint, so it is a pool row. Its value is V_k / g
+        and its cap k / g (|ra|, |rb| <= k = |rc|), so its bound is
+        ceil(V_k / k).
+
+    The reported certificate is the first pool row whose ceiling reaches
+    the bound, i.e. with value > (bound - 1) cap: the first maximum, as a
+    scan keeping only strict improvements would report it. It usually
+    lies among the first few rows.
+    """
     na, nb, nc = ab
-    best = 0
-    first = None
+    hulls = _pool_hulls(base)
+    best = abs(nc) - min((-ra * na - rb * nb) // k for ra, rb, k in hulls)
+    if best <= 0:
+        return 0, None
+    below = best - 1
     for i, (ca, cb, cc, cap) in enumerate(_pool_rows(base)):
-        value = ca * na + cb * nb + cc * nc
-        if value > best * cap:  # i.e. ceil(value / cap) > best
-            best = -(-value // cap)
-            first = i
-    return best, first
+        if ca * na + cb * nb + cc * nc > below * cap:
+            return best, i
+    raise ArithmeticError(f"no pool row reaches the closed-form bound {best}")
 
 
 def best_certificate_bound(
@@ -202,7 +265,7 @@ def verify_factorization(
 def letters_factorization(u: Word) -> Factorization:
     """The trivial witness spelling u letter by letter."""
     return Factorization(
-        tuple((Letter(base, 1 if exp > 0 else -1), abs(exp)) for base, exp in u.runs)
+        tuple((_LETTER[base, 1 if exp > 0 else -1], abs(exp)) for base, exp in u.runs)
     )
 
 

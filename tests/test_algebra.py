@@ -11,6 +11,7 @@ from wordweight.algebra import (
     WeightProvider,
     WeightedVector,
     block_word,
+    chain_prefixes,
     chain_product,
     convolve,
     min_tail_index,
@@ -252,6 +253,24 @@ class TestVectorLiteral:
         v = vector_from_literal(fam5, items)
         assert v.entries[W("c")] == ExpSum.of(ONE)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # int() would read 1.5 and True as 1, Fraction() 0.1 as a binary float
+            ("exp", 1.5, "item 1 ('c'): exp must be an integer, got 1.5"),
+            ("exp", True, "item 1 ('c'): exp must be an integer, got True"),
+            ("mantissa", 0.1, "item 1 ('c'): mantissa must be a 'p/q' string, got 0.1"),
+        ],
+    )
+    def test_inexact_fields_are_refused(self, fam5, field, value, message):
+        items = [
+            {"word": "c^2", "mantissa": "1/2", "exp": 0},
+            {"word": "c", "mantissa": "1/2", "exp": 0, field: value},
+        ]
+        with pytest.raises(ValueError) as err:
+            vector_from_literal(fam5, items)
+        assert str(err.value) == message
+
 
 class TestDecayBounds:
     def test_min_tail_index(self):
@@ -316,6 +335,12 @@ class TestChainProduct:
 
     def test_single_block(self, fam5):
         assert pair_omega(chain_product([(2, 3)], fam5)).equals(1)
+
+    def test_prefixes_are_the_shorter_chains(self, fam5):
+        blocks = [(2, 1876), (2, 1876), (2, 1)]
+        assert list(chain_prefixes(blocks, fam5)) == [
+            chain_product(blocks[:t], fam5) for t in (1, 2, 3)
+        ]
 
     def test_constraint_violation(self, fam5):
         with pytest.raises(ConstraintViolation):

@@ -17,6 +17,7 @@ from wordweight.lengths import (
     _blocks_factorization,
     _blocks_length,
     _blocks_word,
+    _pool_hulls,
     _scan_blocks,
     Certificate,
     Direction,
@@ -30,6 +31,7 @@ from wordweight.lengths import (
     eval_certificate,
     family_length,
     letters_factorization,
+    pool_bound,
     shape_witness,
     single_biggen_cancellation,
     verify_factorization,
@@ -54,7 +56,57 @@ reduced_words = st.lists(
 ).map(Word.from_runs)
 
 
+def scan_pool_bound(ab, base):
+    """Reference for ``pool_bound``: the scan over every pool row, which
+    keeps the first row that reaches the best ceil(value / cap)."""
+    best, first = 0, None
+    for i, cert in enumerate(certificate_pool(base)):
+        row = [-c for c in cert.coeffs]  # a LOWER certificate bounds by -coeffs
+        value = sum(r * n for r, n in zip(row, ab))
+        cap = max(map(abs, row))
+        if -(-value // cap) > best:
+            best, first = -(-value // cap), i
+    return best, first
+
+
+# one size per abelianization, so that every direction is as likely
+abelianizations = st.sampled_from([40, 2**40, 5**13]).flatmap(
+    lambda size: st.tuples(*[st.integers(-size, size)] * 3)
+)
+
+
 class TestPoolBound:
+    @settings(max_examples=600, deadline=None)
+    @given(abelianizations, st.sampled_from([2, 3, 5]))
+    def test_closed_form_matches_the_pool_scan(self, ab, base):
+        assert pool_bound(ab, base) == scan_pool_bound(ab, base)
+
+    def test_first_maximum_past_index_100(self):
+        # b^5 c^-1 at base 2: the first row to reach the bound is row 123,
+        # (3, -2, 3) as a LOWER certificate, so the scan runs that far
+        assert pool_bound((0, 5, -1), 2) == (5, 123)
+        assert scan_pool_bound((0, 5, -1), 2) == (5, 123)
+        assert certificate_pool(2)[123].coeffs == (3, -2, 3)
+
+    @pytest.mark.parametrize("base", range(2, 8))
+    def test_hull_vertices_reach_every_feasible_maximum(self, base):
+        hulls = _pool_hulls(base)
+        for k in (1, 2, 3):
+            feasible = [
+                (ra, rb)
+                for ra in range(-k, k + 1)
+                for rb in range(-k, k + 1)
+                if ra * base + rb * (base + 1) <= 0
+            ]
+            vertices = [(ra, rb) for ra, rb, cap in hulls if cap == k]
+            assert len(vertices) == 4 and set(vertices) <= set(feasible)
+            for na, nb in itertools.product(range(-7, 8), repeat=2):
+                assert max(ra * na + rb * nb for ra, rb in vertices) == max(
+                    ra * na + rb * nb for ra, rb in feasible
+                )
+        # 3 B - 2 (B+1) <= 0 only at base 2
+        assert ((3, -2, 3) in hulls) == (base == 2)
+
     @settings(max_examples=150, deadline=None)
     @given(reduced_words, st.sampled_from([P2, P5]))
     def test_best_bound_is_first_pool_maximum(self, u, params):
