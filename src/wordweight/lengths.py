@@ -608,7 +608,7 @@ def xlength(
 
     # Exact mode: exhaustive search below the index cutoff.
     try:
-        moves = build_moves(u, upper, params, budget)
+        moves = build_moves(u, upper, params, budget, t0)
     except BudgetExhausted:
         return result(lower, upper, witness, "budget", budget_exhausted=True)
 

@@ -20,21 +20,32 @@ generator. So neither engine ever builds the identity, and best-first
 takes an incumbent as soon as it pushes an expansion. Node counts are
 expanded states in both engines.
 
+Whole-family skip. Every index-j inverse has the same abelianisation,
+so before scanning a node's moves both engines bound f over each family
+with one heuristic call at the family's floor key (``Family.floor``),
+and leave out a family that cannot pass (``_scan``). The letters and the
+surviving families are then scored in their usual order, so costs,
+paths and node counts are those of a full scan.
+
 A move set depends on the parameters and the families below the index
 cutoff alone, so each one, with its goal table, is built once per
-process; each family is listed once per process too. So is the
-heuristic: its value at a key depends on the parameters, the families
-and the key alone, so every search with the same families reads one
-memo, which holds at most ``_MEMO_LIMIT`` keys.
+process; each family is listed once per process too, and a listing cut
+short by the deadline is not kept. So is the heuristic: its value at a
+key depends on the parameters, the families and the key alone, so every
+search with the same families reads one memo, which holds at most
+``_MEMO_LIMIT`` keys.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 
+from .errors import BudgetExhausted
 from .genset import (
     Gen,
     GenSetParams,
@@ -71,11 +82,44 @@ class Move:
         )
 
 
+@dataclass(frozen=True)
+class Family:
+    """The index-j family as moves, with what bounds all their children.
+
+    Every index-j expansion abelianizes to d_j (B, B+1, 0), d_j = B^(2j-1),
+    whatever its conjugator, so every inverse has the one abelianisation
+    ``ab``; their letter counts lie in [``lo``, ``hi``].
+    """
+
+    ab: AbelianVector
+    lo: int
+    hi: int
+    moves: tuple[Move, ...]
+
+    def floor(self, key: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        """The floor key of the family's children of a state with ``key``:
+        their common abelianisation, and a lower bound on their letter
+        counts.
+
+        A child is x r with |x| in [lo, hi], so it has at least
+        ||x| - |r|| >= max(lo - |r|, |r| - hi) letters, and at least the
+        l1 norm of its abelianisation, as each letter moves it by a unit
+        vector. The floor is the largest of the three, so it is at least
+        that l1 norm too.
+        """
+        na, nb, nc, slen = key
+        da, db, dc = self.ab
+        na, nb, nc = na + da, nb + db, nc + dc
+        least = max(abs(na) + abs(nb) + abs(nc), self.lo - slen, slen - self.hi)
+        return (na, nb, nc, least)
+
+
 @dataclass
 class MoveSet:
-    moves: list[Move]
+    moves: list[Move]  # the letters, then each family in index order
     families: tuple[int, ...]  # indices of the indexed generators, ascending
     goals: dict[Word, Gen]  # expansion -> its generator
+    groups: tuple[Family, ...]  # the listed families, in the order of ``families``
 
 
 @dataclass(frozen=True)
@@ -89,17 +133,38 @@ class Outcome:
 _LETTER_MOVES = tuple(Move.of(letter, ~letter.word()) for letter in LETTERS)
 
 
-@lru_cache(maxsize=16)
-def _family_moves(params: GenSetParams, j: int) -> tuple[Move, ...]:
-    """The index-j family as moves.
+# Listed families, at most ``_FAMILY_LIMIT``; the oldest goes first.
+_families: dict[tuple[GenSetParams, int], Family] = {}
+_families_lock = threading.Lock()
+_FAMILY_LIMIT = 16
 
-    A family depends on (params, j) alone, so it is listed once per
-    process; callers copy the tuple and never mutate what it holds.
+
+def _family(params: GenSetParams, j: int, deadline: float | None = None) -> Family:
+    """The index-j family, listed once per process.
+
+    A family depends on (params, j) alone, so a complete listing is kept
+    and every later call reads it; callers never mutate what it holds.
+    With a ``deadline`` (a ``time.perf_counter`` value), the listing
+    checks it before each generator and raises BudgetExhausted once it
+    has passed. Nothing is kept then, so a later call, with or without a
+    deadline, lists the whole family again.
     """
-    return tuple(
-        Move.of(gen, ~expand_generator(gen, params))
-        for gen in enumerate_generators(params, j)
-    )
+    key = (params, j)
+    family = _families.get(key)
+    if family is not None:
+        return family
+    moves = []
+    for gen in enumerate_generators(params, j):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExhausted(f"index-{j} family not listed before the deadline")
+        moves.append(Move.of(gen, ~expand_generator(gen, params)))
+    letters = [move.letters for move in moves]
+    family = Family(moves[0].ab, min(letters), max(letters), tuple(moves))
+    with _families_lock:
+        _families[key] = family
+        while len(_families) > _FAMILY_LIMIT:
+            del _families[next(iter(_families))]
+    return family
 
 
 @lru_cache(maxsize=16)
@@ -110,27 +175,36 @@ def _move_set(
     each expansion (``~move.inverse``) mapped to its generator. Distinct
     generators have distinct expansions (``family_size``), so no entry is
     lost. Callers never mutate what this returns."""
-    moves = _LETTER_MOVES + sum((_family_moves(params, j) for j in families), ())
+    moves = _LETTER_MOVES + sum((_family(params, j).moves for j in families), ())
     return moves, {~move.inverse: move.gen for move in moves}
 
 
 def build_moves(
-    u: Word, upper_bound: int, params: GenSetParams, budget: SearchBudget
+    u: Word,
+    upper_bound: int,
+    params: GenSetParams,
+    budget: SearchBudget,
+    t0: float | None = None,
 ) -> MoveSet:
     """Letters plus every indexed generator below the sound cutoff.
 
     Raises BudgetExhausted, before listing anything, if some index family
     below the cutoff has more generators than the node budget (its size
     is known in closed form, ``family_size``), so paper-scale bases fail
-    at once. The move list is the caller's own; the goal table is shared
-    by every call with the same families and is never mutated.
+    at once; and while listing a family not yet listed in this process,
+    once ``budget.max_millis`` has passed since ``t0`` (by default, this
+    call's start). The move list is the caller's own; the goal table and
+    the families are shared by every call with the same families and are
+    never mutated.
     """
     cutoff = max_usable_index(u, upper_bound, params)
     families = () if cutoff is None else tuple(range(params.jmin, cutoff + 1))
     for j in families:
         check_family_size(params, j, budget.max_nodes)
+    deadline = _deadline(budget, time.perf_counter() if t0 is None else t0)
+    groups = tuple(_family(params, j, deadline) for j in families)
     moves, goals = _move_set(params, families)
-    return MoveSet(moves=list(moves), families=families, goals=goals)
+    return MoveSet(moves=list(moves), families=families, goals=goals, groups=groups)
 
 
 def state_key(r: Word) -> tuple[int, int, int, int]:
@@ -185,6 +259,15 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     With one family t = M d_jmin is forced, and the bound is the integer
     relaxation itself. Without indexed moves only the letters remain and
     h is the letter count, which is exact.
+
+    Monotone in the letter count. At a fixed abelianisation, h does not
+    decrease as |r| grows, on keys whose |r| is at least the l1 norm
+    |na| + |nb| + |nc|, as every real remainder's is. Each H(M) is
+    nondecreasing in |r|, and so is their minimum over all M >= 0; on such
+    keys H(0) = |r| while H(M) >= M > |r| for M > |r|, so the search over
+    [0, |r|] finds that minimum. Off them it need not: the search range
+    shrinks with |r|. ``Family.floor`` keys stay on them, which is what
+    the engines' family skip (``_scan``) relies on.
 
     Dominance. h is at least the earlier heuristic, the larger of the
     best certificate pool bound and the counting bound
@@ -251,6 +334,30 @@ def _deadline(budget: SearchBudget, t0: float) -> float | None:
     return t0 + budget.max_millis / 1000.0
 
 
+def _scan(moves: MoveSet, h, key: tuple[int, int, int, int], ncost: int, limit: float):
+    """The moves to score from a state with ``key`` whose children cost
+    ``ncost``: ``moves.moves`` less every family whose children all have
+    f = ncost + h > ``limit``, in the same order.
+
+    Every child x r of a family has the abelianisation of the family's
+    floor key and at least its letter count, and both letter counts are
+    at least that abelianisation's l1 norm (``Family.floor``); h is
+    monotone in the letter count there (``make_heuristic``), so the
+    child's h is at least h at the floor. One call at the floor thus
+    bounds f over the whole family. With nothing left out, the list
+    itself is returned, so a family that is scanned costs one call more;
+    otherwise the letters, which ``moves.moves`` starts with, and the
+    families kept.
+    """
+    groups = moves.groups
+    if not groups:
+        return moves.moves
+    kept = [fam.moves for fam in groups if ncost + h(fam.floor(key)) <= limit]
+    if len(kept) == len(groups):
+        return moves.moves
+    return chain(_LETTER_MOVES, *kept)
+
+
 def best_first(
     u: Word,
     moves: MoveSet,
@@ -265,7 +372,11 @@ def best_first(
     abelianisation plus the move's, and the two letter counts less the
     letters cancelled at the seam, so f = cost + h(key) needs no product.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
-    unbuilt.
+    unbuilt, and so is a whole family whose floor already has f above it
+    (``_scan``). The limit is fixed while a node is scanned, until the
+    goal hit that stops the scan, so the left-out children are exactly
+    ones the scan would have skipped one by one: the pushes, their order
+    and hence the node count, cost and path are those of a full scan.
 
     Goal test. A state is looked up in the goal table each time it
     enters the heap, the root before the loop. A hit on a state X pushed
@@ -305,7 +416,7 @@ def best_first(
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
-    move_list, goals = moves.moves, moves.goals
+    goals = moves.goals
     best_g: dict[Word, int] = {u: 0}
     parents: dict[Word, tuple[Word, Gen]] = {}
     heap: list[tuple[int, int, tuple, int, Word]] = [
@@ -340,7 +451,7 @@ def best_first(
         # The scoring is written out here and in ``deepening``, not shared
         # through a generator: resuming one per move made this loop about
         # 15 % slower per move (656 moves, base 2, CPython 3.11).
-        for move in move_list:
+        for move in _scan(moves, h, (na, nb, nc, slen), ncost, limit):
             letters = move.letters + slen
             if move.tail == head:  # else nothing merges at the seam
                 letters -= seam(move.inverse.runs, runs)[2]
@@ -417,11 +528,18 @@ def deepening(
     c >= bound. Children on the current path are counted too, before
     the path check; that only adds candidates to the overshoot, each
     above b, so the bound still grows and stays at most c.
+
+    Family skip. When a state is visited, each family whose floor has
+    f > bound and f >= overshoot is left out of its scan (``_scan``).
+    Each of its children has f at least the floor's, so it fails the
+    bound and, as the overshoot only falls during a pass, could not have
+    lowered it. So the visits, the overshoot and every pass bound are
+    those of a full scan, and with them the node count and the path.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
-    move_list, goals = moves.moves, moves.goals
+    goals = moves.goals
     nodes = 0
     root_key = state_key(u)
     bound = h(root_key)
@@ -443,7 +561,11 @@ def deepening(
             if gen is not None:
                 path.append(gen)
                 return Outcome(len(path), path, nodes, len(path))
-            frames.append((state, key, len(frames) + 1, iter(move_list)))
+            ncost = len(frames) + 1
+            # a family is left out only if its floor fails the bound and
+            # could not lower the overshoot: f >= overshoot, f > bound
+            scan = _scan(moves, h, key, ncost, max(bound, overshoot - 1))
+            frames.append((state, key, ncost, iter(scan)))
             state = None
             while state is None and frames:
                 parent, (na, nb, nc, slen), ncost, untried = frames[-1]

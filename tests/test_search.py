@@ -1,10 +1,13 @@
 """The move set and the search heuristic: refusal and caching in
 build_moves and its goal table; soundness, dominance over the earlier
 bound and bounded cost of the heuristic, and its one bounded memo per
-move set, shared by searches and threads; differential tests of exact
+move set, shared by searches and threads; the family floor that the
+engines' whole-family skip rests on; differential tests of exact
 lengths, through xlength and of the two engines called directly; the
-deepening deadline; and best-first's partial expansion against the
-full-expansion loop it replaced."""
+deadlines of the listing and of deepening; and both engines against
+full-scan references: best-first's partial expansion against the
+full-expansion loop it replaced, deepening against a plain recursive
+one."""
 
 import dataclasses
 import itertools
@@ -41,7 +44,7 @@ from wordweight import search
 from wordweight.search import (
     MoveSet,
     Outcome,
-    _family_moves,
+    _family,
     _move_set,
     _rebuild,
     best_first,
@@ -147,10 +150,50 @@ class TestBuildMoves:
             params = GenSetParams(base=base, jmin=1)
             moves, goals = _move_set(params, (1,))
             assert _move_set(params, (1,))[1] is goals  # built once per process
-            assert moves[6:] == _family_moves(params, 1)
+            assert moves[6:] == _family(params, 1).moves
             expansions[base] = {e for e, g in goals.items() if isinstance(g, BigGen)}
         assert len(expansions[2]) == 25 and len(expansions[3]) == 125
         assert expansions[2].isdisjoint(expansions[3])
+
+    def test_listing_stops_at_the_deadline(self, monkeypatch):
+        # the family is listed afresh here; one whose deadline has passed
+        # raises at its first generator, and nothing of it is kept
+        monkeypatch.setattr(search, "_families", {})
+        params, moves = move_set(2, 40)
+        g = expand_generator(BigGen(IDENTITY, 1), params)
+        u = g * g
+        late = SearchBudget(max_millis=50)
+        with pytest.raises(BudgetExhausted, match="^index-1 family not listed"):
+            build_moves(u, u.s_length + 40, params, late, time.perf_counter() - 1)
+        assert search._families == {}
+        # a call without a deadline lists every family whole
+        full = build_moves(u, u.s_length + 40, params, SearchBudget())
+        assert full.moves == moves.moves
+        assert [len(fam.moves) for fam in full.groups] == [25, 625]
+        # a listed family is read, not listed again, so no deadline applies
+        again = build_moves(u, u.s_length + 40, params, late, time.perf_counter() - 1)
+        assert again.groups == full.groups
+
+    def test_deadline_during_a_long_listing(self):
+        # the base-2 index-3 family has 390,625 generators and takes
+        # seconds to list; max_ms stops the listing and xlength answers
+        # with its bracket
+        u = Word.parse("a^64 b^64 c")
+        t0 = time.perf_counter()
+        r = xlength(u, P2, SearchBudget(max_millis=50))
+        assert time.perf_counter() - t0 < 1
+        assert (r.method, r.lower, r.upper, r.nodes_expanded) == ("budget", 23, 34, 0)
+        assert (P2, 3) not in search._families
+
+    def test_families_share_one_abelianisation(self):
+        params, moves = move_set(2, 40)
+        assert moves.families == (1, 2)
+        for j, fam in zip(moves.families, moves.groups):
+            d = params.inner_exp(j)
+            assert {mv.ab for mv in fam.moves} == {(-2 * d, -3 * d, 0)}
+            letters = [mv.letters for mv in fam.moves]
+            assert (fam.lo, fam.hi) == (min(letters), max(letters))
+            assert fam.hi == longest_expansion(params, j)
 
     @pytest.mark.parametrize("spec", MOVE_SET_SPECS)
     def test_goal_table_files_every_expansion_once(self, spec):
@@ -315,6 +358,43 @@ class TestHeuristic:
         assert all(make_heuristic(P2, f).cache_info().currsize <= 64 for f in [(1,), (1, 2)])
 
 
+abelian = st.tuples(
+    *[st.one_of(st.integers(-12, 12), st.integers(-3000, 3000))] * 3
+)
+extra_letters = st.one_of(st.integers(0, 12), st.integers(0, 5000))
+
+
+class TestFamilyFloor:
+    """What the engines' family skip relies on: h is monotone in the
+    letter count from the l1 norm of the abelianisation up, and the
+    floor key of a family is below every child's key."""
+
+    HEURISTICS = [(base, fams) for base in (2, 3, 5) for fams in ((1,), (1, 2))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(HEURISTICS), abelian, extra_letters, extra_letters)
+    def test_monotone_in_letters(self, spec, ab, extra, more):
+        base, families = spec
+        h = make_heuristic(GenSetParams(base=base, jmin=1), families)
+        least = sum(map(abs, ab)) + extra
+        assert h((*ab, least)) <= h((*ab, least + more))
+
+    @settings(max_examples=60, deadline=None)
+    @given(remainders, st.sampled_from([(2, 0), (2, 40)]))
+    def test_floor_below_every_child(self, r, spec):
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        key = state_key(r)
+        for fam in moves.groups:
+            floor = fam.floor(key)
+            assert floor[3] >= sum(map(abs, floor[:3]))
+            least = h(floor)
+            for move in fam.moves:
+                child = state_key(move.inverse * r)
+                assert child[:3] == floor[:3] and child[3] >= floor[3]
+                assert least <= h(child)
+
+
 @lru_cache(maxsize=None)
 def ball(radius: int) -> dict[Word, int]:
     """Blind breadth-first distances from the identity over the letters and
@@ -348,17 +428,20 @@ def blind_length(u: Word) -> int:
 
 
 @lru_cache(maxsize=None)
-def differential_targets() -> tuple[Word, ...]:
-    """32 random base-2 letter words, then 32 index-1 expansions with up to
-    two letters added."""
-    rng = random.Random(20261018)
-    moves = move_set(2, 0)[1].moves
+def differential_targets(
+    base: int = 2, count: int = 64, seed: int = 20261018
+) -> tuple[Word, ...]:
+    """count / 2 random letter words, then count / 2 index-1 expansions
+    with up to two letters added, at the given base."""
+    rng = random.Random(seed)
+    params, moves = move_set(base, 0)
+    moves = moves.moves
     targets = {}  # ordered set: random letter words, then move products
-    while len(targets) < 64:
+    while len(targets) < count:
         u = IDENTITY
-        if len(targets) >= 32:
-            u = expand_generator(rng.choice(moves).gen, P2)
-        extra = rng.randint(1, 6) if len(targets) < 32 else rng.randint(0, 2)
+        if len(targets) >= count // 2:
+            u = expand_generator(rng.choice(moves).gen, params)
+        extra = rng.randint(1, 6) if len(targets) < count // 2 else rng.randint(0, 2)
         while extra:
             letter = rng.choice(LETTERS).word()
             nu = u * letter if rng.random() < 0.5 else letter * u
@@ -506,20 +589,108 @@ def blind_length_with_index2(u: Word) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def base3_targets() -> tuple[Word, ...]:
+    """24 random base-3 targets, then base-3 blocks a^9 b^9 with a few
+    letters added or taken away, which take up to 130 nodes."""
+    blocks = [
+        "a^9 b^8 c", "a^8 b^9 c^2", "a^9 b^9 a", "c a^9 b^10", "a^10 b^9 c^-1",
+        "a^9 b^9 c a^-2", "a^7 b^9 c^2", "c^2 a^9 b^7",
+    ]
+    words = differential_targets(3, 24, 20261021) + tuple(map(Word.parse, blocks))
+    return tuple(dict.fromkeys(words))
+
+
+def full_scan_deepening(u, moves, cap, h, budget, goal_of):
+    """The deepening loop without the family skip, recursive and without
+    the deadline: every child of a visited state is built and then
+    scored; one with f over the bound is counted in the overshoot, and
+    one on the path is passed over. The goal test looks up each visited
+    state in ``goal_of``, as in ``full_expansion_best_first``. The
+    reference for ``search.deepening``."""
+    if u.is_identity():
+        return Outcome(0, [], 0, 0)
+    nodes = 0
+    bound = h(state_key(u))
+    while bound <= cap:
+        overshoot = float("inf")
+        path, on_path = [], {u}
+
+        def visit(state, cost):  # True once a factorization is on ``path``
+            nonlocal nodes, overshoot
+            nodes += 1
+            if nodes > budget.max_nodes:
+                raise BudgetExhausted
+            if state in goal_of:
+                path.append(goal_of[state])
+                return True
+            for move in moves.moves:
+                nxt = move.inverse * state
+                f = cost + 1 + h(state_key(nxt))
+                if f > bound:
+                    overshoot = min(overshoot, f)
+                elif nxt not in on_path:
+                    on_path.add(nxt)
+                    path.append(move.gen)
+                    if visit(nxt, cost + 1):
+                        return True
+                    on_path.discard(nxt)
+                    path.pop()
+            return False
+
+        try:
+            if visit(u, 0):
+                return Outcome(len(path), path, nodes, len(path))
+        except BudgetExhausted:
+            return Outcome(None, None, nodes, bound)
+        if overshoot == float("inf"):
+            return Outcome(None, None, nodes, cap + 1)
+        bound = int(overshoot)
+    return Outcome(None, None, nodes, bound)
+
+
+def counting_skips(monkeypatch) -> list[int]:
+    """Counts, in its one entry, the nodes at which ``search._scan`` left
+    out at least one family."""
+    skips = [0]
+    scan = search._scan
+
+    def counted(moves, *args):
+        out = scan(moves, *args)
+        skips[0] += out is not moves.moves
+        return out
+
+    monkeypatch.setattr(search, "_scan", counted)
+    return skips
+
+
 class TestPartialExpansion:
+    """Both engines against the full-scan references above: the same
+    cost, path and node count, with families left out whole on the way.
+    The partial-expansion check applies to best-first."""
+
     # (move set, small and large node budgets, extra targets): the index-2
-    # family makes the full-expansion reference cost milliseconds per
+    # family makes the full-expansion references cost milliseconds per
     # node, so its large budget stays low; the chains run into it
     CASES = [
         ((2, 0), (3, 100_000), ()),
         ((2, 40), (3, 60), index2_targets()),
+        ((3, 0), (3, 100_000), ()),
     ]
+    IDS = ["families-1", "families-1-2", "base-3-families-1"]
 
-    @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=["families-1", "families-1-2"])
+    @staticmethod
+    def targets(spec, extra) -> tuple[Word, ...]:
+        if spec[0] == 3:
+            return base3_targets()
+        return engine_targets() + CHAINS + extra
+
+    @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=IDS)
     def test_matches_full_expansion(self, spec, budgets, extra, monkeypatch):
         params, moves = move_set(*spec)
         h = make_heuristic(params, moves.families)
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        skips = counting_skips(monkeypatch)
         products = []
         pushed = set()
         multiply = Word.__mul__
@@ -534,7 +705,7 @@ class TestPartialExpansion:
             heappush(heap, item)
 
         built = 0
-        for u in engine_targets() + CHAINS + extra:
+        for u in self.targets(spec, extra):
             cap = xlength(u, params, mode="bracket").upper
             for max_nodes in budgets:
                 budget = SearchBudget(max_nodes=max_nodes)
@@ -553,7 +724,43 @@ class TestPartialExpansion:
                 # would build children that are none of these.
                 assert pushed.union([u]).issuperset(products), str(u)
                 built += len(products)
-        assert built
+        assert built and skips[0]
+
+    @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=IDS)
+    def test_deepening_matches_full_scan(self, spec, budgets, extra, monkeypatch):
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        skips = counting_skips(monkeypatch)
+        for u in self.targets(spec, extra):
+            cap = xlength(u, params, mode="bracket").upper
+            for max_nodes in budgets:
+                budget = SearchBudget(max_nodes=max_nodes)
+                expected = full_scan_deepening(u, moves, cap, h, budget, goal_of)
+                assert deepening(u, moves, cap, h, budget, 0.0) == expected, str(u)
+        assert skips[0]
+
+    def test_deepening_overshoot_rule(self, monkeypatch):
+        # Deepening leaves a family out only when its floor fails the
+        # bound and is no lower than the overshoot so far. The skip needs
+        # nothing of h but h(floor) <= h(child), which adding a function
+        # of the abelianisation keeps, as a family's children share one.
+        # Adding 3 off the root's abelianisation and its family children's
+        # makes the root's letters overshoot by far more than its family
+        # does, so leaving the family out there raises the next bound.
+        params, moves = move_set(2, 40)
+        h0 = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        budget = SearchBudget(max_nodes=60)
+        for u in index2_targets():
+            near = {u.abelianize()} | {fam.floor(state_key(u))[:3] for fam in moves.groups}
+
+            def h(key):
+                return h0(key) + (0 if key[:3] in near else 3)
+
+            cap = xlength(u, params, mode="bracket").upper + 6
+            expected = full_scan_deepening(u, moves, cap, h, budget, goal_of)
+            assert deepening(u, moves, cap, h, budget, 0.0) == expected, str(u)
 
 
 def checked_cost(outcome: Outcome, u: Word, params: GenSetParams) -> int | None:
@@ -612,15 +819,25 @@ class TestEngines:
         assert (r.lower, r.upper, r.method) == (1202, 1202, "dual")
         assert not r.budget_exhausted
 
-    def test_deepening_deadline_on_index2_moves(self):
-        # every node scores 656 children, so a check only every 1024
-        # nodes would overrun by about a second
+    def test_deepening_deadline_on_index2_moves(self, monkeypatch):
+        # A node scores up to 656 children, so a check only every 1024
+        # nodes could overrun by about a second. The clock is read once
+        # at every node, which counting its reads shows however fast a
+        # node is; the overrun is then at most one node.
         params, moves = move_set(2, 40)
         u = Word.parse("a^16 b^16 c a^-3")
         h = make_heuristic(params, moves.families)
         cap = xlength(u, params, mode="bracket").upper
-        t0 = time.perf_counter()
+        clock = time.perf_counter
+        reads = []
+
+        def counted():
+            reads.append(None)
+            return clock()
+
+        monkeypatch.setattr(search.time, "perf_counter", counted)
+        t0 = clock()
         out = deepening(u, moves, cap, h, SearchBudget(max_millis=50), t0)
-        overrun_ms = (time.perf_counter() - t0) * 1000 - 50
-        assert out.cost is None and 0 < out.nodes < 1000
-        assert overrun_ms < 100  # one node is about 1 ms
+        overrun_ms = (clock() - t0) * 1000 - 50
+        assert out.cost is None and len(reads) == out.nodes > 0
+        assert overrun_ms < 100  # one node takes at most about 1 ms
