@@ -283,7 +283,9 @@ def cmd_verify_family(args) -> int:
                     )
                 specs.append(blocks)
         else:
-            rs = _parse_int_list(args.r or "1", "--r")
+            rs = _parse_int_list("1" if args.r is None else args.r, "--r")
+            if not rs:
+                raise ValueError("--r must be non-empty")
             ns = _parse_int_list(args.n, "--n")
             if len(ns) != 1:
                 raise ValueError("chain ranges take a single --n")
@@ -309,6 +311,8 @@ def cmd_radical_demo(args) -> int:
     cfg = build_run_config(args, default_mode="family")
     params = cfg.params
     js = _parse_int_list(args.j, "--j")
+    if not js:
+        raise ValueError("--j must be non-empty")
     _require_canonical(params)
     for j in js:
         _check_index(j, params)

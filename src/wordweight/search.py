@@ -20,12 +20,19 @@ generator. So neither engine ever builds the identity, and best-first
 takes an incumbent as soon as it pushes an expansion. Node counts are
 expanded states in both engines.
 
-Whole-family skip. Every index-j inverse has the same abelianisation,
-so before scanning a node's moves both engines bound f over each family
-with one heuristic call at the family's floor key (``Family.floor``),
-and leave out a family that cannot pass (``_scan``). The letters and the
-surviving families are then scored in their usual order, so costs,
-paths and node counts are those of a full scan.
+Family scoring. Every index-j inverse has the same abelianisation, so
+a node's children in one family share theirs, and at a fixed
+abelianisation h does not decrease as the letter count grows from the l1
+norm up (``make_heuristic``), where every child's letter count is. So
+the children that pass the f test are those below one cutoff letter
+count, and ``_family_children`` scores a family with one heuristic call
+per distinct letter count up to the cutoff and none past it. One call at
+the family's floor key (``Family.floor``) first leaves out a family none
+of whose children can pass. Best-first needs h at each passing child,
+for its heap; deepening needs only the least f of the failing children,
+for its overshoot, and that is h at the cutoff. A child's letter count
+comes from the runs where the move meets the state, and ``words.seam``
+walks only when two whole runs cancel.
 
 A move set depends on the parameters and the families below the index
 cutoff alone, so each one, with its goal table, is built once per
@@ -73,13 +80,25 @@ class Move:
     inverse: Word  # inverse of the expansion, applied to remainders
     ab: AbelianVector  # abelianisation of ``inverse``
     letters: int  # letter count of ``inverse``
-    tail: str  # base of the last run of ``inverse``
+    tail: str  # the last run of ``inverse`` as a signed base (``_signed``)
 
     @classmethod
     def of(cls, gen: Gen, inverse: Word) -> "Move":
         return cls(
-            gen, inverse, inverse.abelianize(), inverse.s_length, inverse.runs[-1][0]
+            gen,
+            inverse,
+            inverse.abelianize(),
+            inverse.s_length,
+            _signed(*inverse.runs[-1]),
         )
+
+
+def _signed(base: str, exp: int) -> str:
+    """A run's base, upper case when its exponent is negative. A move's
+    tail cancels letters of a state's first run (base, exp) exactly when
+    it equals ``_signed(base, -exp)``; with ``_signed(base, exp)`` the two
+    runs merge and nothing cancels."""
+    return base if exp > 0 else base.upper()
 
 
 @dataclass(frozen=True)
@@ -88,13 +107,33 @@ class Family:
 
     Every index-j expansion abelianizes to d_j (B, B+1, 0), d_j = B^(2j-1),
     whatever its conjugator, so every inverse has the one abelianisation
-    ``ab``; their letter counts lie in [``lo``, ``hi``].
+    ``ab``; their letter counts, ``letters`` in move order, lie in
+    [``lo``, ``hi``]. ``tails`` maps each signed base (``_signed``) to
+    the moves whose tail it is, as (position, size of the last run)
+    pairs.
     """
 
     ab: AbelianVector
     lo: int
     hi: int
     moves: tuple[Move, ...]
+    letters: tuple[int, ...]
+    tails: dict[str, tuple[tuple[int, int], ...]]
+
+    @classmethod
+    def of(cls, moves: tuple[Move, ...]) -> "Family":
+        letters = tuple(move.letters for move in moves)
+        tails: dict[str, list[tuple[int, int]]] = {}
+        for i, move in enumerate(moves):
+            tails.setdefault(move.tail, []).append((i, abs(move.inverse.runs[-1][1])))
+        return cls(
+            moves[0].ab,
+            min(letters),
+            max(letters),
+            moves,
+            letters,
+            {tail: tuple(ix) for tail, ix in tails.items()},
+        )
 
     def floor(self, key: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
         """The floor key of the family's children of a state with ``key``:
@@ -158,8 +197,7 @@ def _family(params: GenSetParams, j: int, deadline: float | None = None) -> Fami
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExhausted(f"index-{j} family not listed before the deadline")
         moves.append(Move.of(gen, ~expand_generator(gen, params)))
-    letters = [move.letters for move in moves]
-    family = Family(moves[0].ab, min(letters), max(letters), tuple(moves))
+    family = Family.of(tuple(moves))
     with _families_lock:
         _families[key] = family
         while len(_families) > _FAMILY_LIMIT:
@@ -266,8 +304,9 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
     nondecreasing in |r|, and so is their minimum over all M >= 0; on such
     keys H(0) = |r| while H(M) >= M > |r| for M > |r|, so the search over
     [0, |r|] finds that minimum. Off them it need not: the search range
-    shrinks with |r|. ``Family.floor`` keys stay on them, which is what
-    the engines' family skip (``_scan``) relies on.
+    shrinks with |r|. ``Family.floor`` keys and every child's key stay on
+    them, which is what the engines' family scoring
+    (``_family_children``) relies on.
 
     Dominance. h is at least the earlier heuristic, the larger of the
     best certificate pool bound and the counting bound
@@ -334,28 +373,94 @@ def _deadline(budget: SearchBudget, t0: float) -> float | None:
     return t0 + budget.max_millis / 1000.0
 
 
-def _scan(moves: MoveSet, h, key: tuple[int, int, int, int], ncost: int, limit: float):
-    """The moves to score from a state with ``key`` whose children cost
-    ``ncost``: ``moves.moves`` less every family whose children all have
-    f = ncost + h > ``limit``, in the same order.
+def _family_children(
+    fam: Family,
+    h,
+    key: tuple[int, int, int, int],
+    runs: tuple,
+    anti: str,
+    ncost: int,
+    limit: float,
+    overshoot: float,
+):
+    """Score one family's children of a state with ``key`` and ``runs``.
+    The children cost ``ncost``, and one passes when f = ncost + h is at
+    most ``limit``; ``anti`` is the signed base of a tail that cancels
+    the state's first run (``_signed``).
 
-    Every child x r of a family has the abelianisation of the family's
-    floor key and at least its letter count, and both letter counts are
-    at least that abelianisation's l1 norm (``Family.floor``); h is
-    monotone in the letter count there (``make_heuristic``), so the
-    child's h is at least h at the floor. One call at the floor thus
-    bounds f over the whole family. With nothing left out, the list
-    itself is returned, so a family that is scanned costs one call more;
-    otherwise the letters, which ``moves.moves`` starts with, and the
-    families kept.
+    Returns ``(passing, over)``: the passing children as (h, move, key)
+    in move order, and the least f of the failing ones, or infinity if
+    none fails. A family whose floor fails and is no lower than
+    ``overshoot`` is left out whole, with no child scored and ``over``
+    infinity, as every child's f is at least the floor's. Best-first,
+    which needs no overshoot, passes 0.
+
+    One cutoff decides every child. The children share the floor key's
+    abelianisation, and each one's letter count is at least the floor's,
+    which is at least that abelianisation's l1 norm (``Family.floor``).
+    From there h does not decrease as the letter count grows
+    (``make_heuristic``), so the children that pass are exactly those
+    with fewer letters than the least letter count at which a child
+    fails, the cutoff. Reading h at the children's distinct letter counts
+    in ascending order, up to the first that fails, finds it.
+
+    The overshoot needs one value. By the same monotonicity, f over the
+    failing children is smallest at the least letter count among them,
+    the cutoff, and h was read there.
+
+    Letter counts. A child x r has |x| + |r| letters less what cancels
+    where the last run of x meets the first of r, and nothing does
+    unless x's tail is ``anti``: the same base, the opposite sign. Then
+    runs of different sizes cancel the shorter into the longer, twice
+    its size in letters, and only runs of one size cancel whole and let
+    the walk go on (``words.seam``).
     """
-    groups = moves.groups
-    if not groups:
-        return moves.moves
-    kept = [fam.moves for fam in groups if ncost + h(fam.floor(key)) <= limit]
-    if len(kept) == len(groups):
-        return moves.moves
-    return chain(_LETTER_MOVES, *kept)
+    floor = fam.floor(key)
+    f = ncost + h(floor)
+    if f > limit and f >= overshoot:
+        return [], _INF
+    ab, slen = floor[:3], key[3]
+    head = abs(runs[0][1])  # the size of the state's first run
+    counts = [n + slen for n in fam.letters]
+    for i, size in fam.tails.get(anti, ()):
+        if size != head:
+            counts[i] -= 2 * min(size, head)
+        else:
+            counts[i] -= seam(fam.moves[i].inverse.runs, runs)[2]
+    least = min(counts)
+    value = h(ab + (least,))
+    if ncost + value > limit:  # no child passes
+        return [], ncost + value
+    hs = {least: value}  # h at each letter count that passes
+    children = zip(fam.moves, counts)
+    for level in sorted(set(counts))[1:]:
+        value = h(ab + (level,))
+        if ncost + value > limit:  # the cutoff
+            passing = [(hs[n], move, ab + (n,)) for move, n in children if n < level]
+            return passing, ncost + value
+        hs[level] = value
+    return [(hs[n], move, ab + (n,)) for move, n in children], _INF
+
+
+def _scored(groups, h, key, runs, ncost, limit):
+    """Best-first's scan of a state with ``key`` and ``runs``: its
+    children that cost ``ncost`` and pass, f <= ``limit``, as lists of
+    (h, move, key) in move order, the letters' and then each family's.
+    A list is made only when the one before it is used up, so a scan
+    that stops at a goal scores no family past it."""
+    na, nb, nc, slen = key
+    anti = _signed(runs[0][0], -runs[0][1])
+    children = []
+    for move in _LETTER_MOVES:
+        dna, dnb, dnc = move.ab
+        letters = slen - 1 if move.tail == anti else slen + 1  # no seam
+        nkey = (na + dna, nb + dnb, nc + dnc, letters)
+        value = h(nkey)
+        if ncost + value <= limit:
+            children.append((value, move, nkey))
+    yield children
+    for fam in groups:
+        yield _family_children(fam, h, key, runs, anti, ncost, limit, 0)[0]
 
 
 def best_first(
@@ -372,14 +477,22 @@ def best_first(
     abelianisation plus the move's, and the two letter counts less the
     letters cancelled at the seam, so f = cost + h(key) needs no product.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
-    unbuilt, and so is a whole family whose floor already has f above it
-    (``_scan``). The limit is fixed while a node is scanned, until the
-    goal hit that stops the scan, so the left-out children are exactly
-    ones the scan would have skipped one by one: the pushes, their order
-    and hence the node count, cost and path are those of a full scan.
+    unbuilt. A letter child has one letter more than its parent, or one
+    less when the letter cancels the parent's first. A family's children
+    are scored together (``_family_children``): they pass exactly below
+    one cutoff letter count, so h is read once for each distinct letter
+    count up to it, which gives every passing child's f, and a family
+    whose floor has f above the limit is left out after one call. The
+    limit is fixed while a node is scanned, until the goal hit that stops
+    the scan, and a family is scored only when the scan reaches it
+    (``_scored``), so the left-out children are exactly ones a full scan
+    would have skipped one by one: the pushes, their order and hence the
+    node count, cost and path are those of a full scan.
 
     Goal test. A state is looked up in the goal table each time it
-    enters the heap, the root before the loop. A hit on a state X pushed
+    enters the heap, the root before the loop, but for a child with
+    h > 1: as h is admissible, that child is more than one move from the
+    identity, so it is no expansion. A hit on a state X pushed
     at cost g is a factorization with g + 1 symbols: the path to X, then
     the generator the table names. X passed f <= limit with h(X) = 1
     (h >= 1 off the identity, and h <= 1 one move from it), so g + 1 is
@@ -446,27 +559,15 @@ def best_first(
         limit = cap if incumbent is None else min(cap, incumbent - 1)
         if limit <= ncost:
             continue  # every child has f >= ncost + 1
-        na, nb, nc = state.abelianize()
-        head = runs[0][0]
-        # The scoring is written out here and in ``deepening``, not shared
-        # through a generator: resuming one per move made this loop about
-        # 15 % slower per move (656 moves, base 2, CPython 3.11).
-        for move in _scan(moves, h, (na, nb, nc, slen), ncost, limit):
-            letters = move.letters + slen
-            if move.tail == head:  # else nothing merges at the seam
-                letters -= seam(move.inverse.runs, runs)[2]
-            dna, dnb, dnc = move.ab
-            key = (na + dna, nb + dnb, nc + dnc, letters)
-            f_nxt = ncost + h(key)
-            if f_nxt > limit:
-                continue
+        key = (*state.abelianize(), slen)
+        children = _scored(moves.groups, h, key, runs, ncost, limit)
+        for value, move, nkey in chain.from_iterable(children):
             nxt = move.inverse * state
             if ncost < best_g.get(nxt, _INF):
                 best_g[nxt] = ncost
                 parents[nxt] = (state, move.gen)
-                heappush(heap, (f_nxt, letters, nxt.runs, ncost, nxt))
-                gen = goals.get(nxt)
-                if gen is not None:
+                heappush(heap, (ncost + value, nkey[3], nxt.runs, ncost, nxt))
+                if value == 1 and (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
     if incumbent is not None:
@@ -502,10 +603,10 @@ def deepening(
 
     A pass visits the cycle-free paths from u whose states all have
     f <= bound. Each child is scored from its parent's key before it is
-    built, as in ``best_first``; a child with f > bound is counted in the
-    overshoot and skipped unbuilt, and only a child that passes is built
-    and checked against the path. Nodes, the unit of ``max_nodes``, are
-    the states visited, each checked against the deadline. A visited
+    built, as in ``best_first``; a child with f > bound enters the
+    overshoot and is skipped unbuilt, and only a child that passes is
+    built and checked against the path. Nodes, the unit of ``max_nodes``,
+    are the states visited, each checked against the deadline. A visited
     state is looked up in the goal table first, and a hit ends the
     search: the path so far and the generator the table names. The walk
     keeps its own stack of frames instead of recursing, so a path may be
@@ -523,23 +624,28 @@ def deepening(
     cycle-free path of some cost c no larger, with states s_0 = u, ...,
     s_c = 1. Some s_i with i < c has f > b, or the pass would have
     reached s_(c-1) and found it. The first such s_i is a child of a
-    visited state, so its f was scored and counted in the minimal
-    overshoot, the new bound; and f(s_i) <= c, as h is admissible. So
-    c >= bound. Children on the current path are counted too, before
-    the path check; that only adds candidates to the overshoot, each
-    above b, so the bound still grows and stays at most c.
+    visited state, so the minimal overshoot, the new bound, is at most
+    its f; and f(s_i) <= c, as h is admissible. So c >= bound. Children
+    on the current path enter the overshoot too, before the path check;
+    that only adds candidates, each above b, so the bound still grows and
+    stays at most c.
 
-    Family skip. When a state is visited, each family whose floor has
-    f > bound and f >= overshoot is left out of its scan (``_scan``).
-    Each of its children has f at least the floor's, so it fails the
-    bound and, as the overshoot only falls during a pass, could not have
-    lowered it. So the visits, the overshoot and every pass bound are
-    those of a full scan, and with them the node count and the path.
+    Families. The letters are scored one at a time as the scan reaches
+    them, and a family is scored whole when the scan reaches it, after
+    the subtrees of the moves before it (``_family_children`` with the
+    bound as limit). Its passing children are then tried in move order.
+    Its failing children enter the overshoot through one value, the
+    least f among them, which is all a minimum needs. A family whose
+    floor fails the bound and is no lower than the overshoot so far is
+    left out unscored: each child's f is at least the floor's, so it
+    fails the bound and, as the overshoot only falls during a pass,
+    could not lower it. So the visits, the overshoot and every pass bound
+    are those of a full scan, and with them the node count and the path.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
-    goals = moves.goals
+    goals, groups = moves.goals, moves.groups
     nodes = 0
     root_key = state_key(u)
     bound = h(root_key)
@@ -547,8 +653,11 @@ def deepening(
         overshoot = _INF
         path: list[Gen] = []  # the moves from u to the last state reached
         on_path = {u}
-        # one frame per state on the path: the state, its key, the cost of
-        # its children and an iterator over the moves not yet tried from it
+        # one frame per state on the path: the state, its key, the signed
+        # base that cancels its first run, the cost of its children, the
+        # moves not yet tried (letters, or a family's passing children as
+        # (h, move, key)) and the next family to score, 0 while the
+        # letters are tried
         frames = []
         state, key = u, root_key  # the state to visit next
         while state is not None:
@@ -561,37 +670,43 @@ def deepening(
             if gen is not None:
                 path.append(gen)
                 return Outcome(len(path), path, nodes, len(path))
-            ncost = len(frames) + 1
-            # a family is left out only if its floor fails the bound and
-            # could not lower the overshoot: f >= overshoot, f > bound
-            scan = _scan(moves, h, key, ncost, max(bound, overshoot - 1))
-            frames.append((state, key, ncost, iter(scan)))
+            anti = _signed(state.runs[0][0], -state.runs[0][1])
+            frames.append([state, key, anti, len(frames) + 1, iter(_LETTER_MOVES), 0])
             state = None
             while state is None and frames:
-                parent, (na, nb, nc, slen), ncost, untried = frames[-1]
-                runs = parent.runs
-                head = runs[0][0]
-                for move in untried:  # the scoring of ``best_first``, inline
-                    letters = move.letters + slen
-                    if move.tail == head:
-                        letters -= seam(move.inverse.runs, runs)[2]
-                    dna, dnb, dnc = move.ab
-                    nkey = (na + dna, nb + dnb, nc + dnc, letters)
-                    f = ncost + h(nkey)
-                    if f > bound:
-                        if f < overshoot:
-                            overshoot = f
-                        continue
+                frame = frames[-1]
+                parent, (na, nb, nc, slen), anti, ncost, untried, i = frame
+                for move in untried:
+                    if i:  # a passing child of family i - 1
+                        _, move, nkey = move
+                    else:  # a letter, scored as in ``best_first``
+                        dna, dnb, dnc = move.ab
+                        letters = slen - 1 if move.tail == anti else slen + 1
+                        nkey = (na + dna, nb + dnb, nc + dnc, letters)
+                        f = ncost + h(nkey)
+                        if f > bound:
+                            if f < overshoot:
+                                overshoot = f
+                            continue
                     nxt = move.inverse * parent
                     if nxt not in on_path:
                         on_path.add(nxt)
                         path.append(move.gen)
                         state, key = nxt, nkey
                         break
-                else:  # every child tried: back up one step
-                    frames.pop()
-                    on_path.discard(parent)
-                    del path[-1:]  # the move into parent; the root has none
+                else:
+                    if i < len(groups):  # the scan reaches family i
+                        passing, over = _family_children(
+                            groups[i], h, frame[1], parent.runs, anti, ncost,
+                            bound, overshoot,
+                        )
+                        if over < overshoot:
+                            overshoot = over
+                        frame[4:] = iter(passing), i + 1
+                    else:  # every child tried: back up one step
+                        frames.pop()
+                        on_path.discard(parent)
+                        del path[-1:]  # the move into parent; the root has none
         if overshoot is _INF:
             # Whole graph below the cap explored without reaching the target.
             return Outcome(None, None, nodes, cap + 1)

@@ -196,6 +196,14 @@ class TestVerifyFamily:
         assert code == 2 and not out
         assert err == "error: --r must be >= 1\n"
 
+    def test_empty_chain_lengths_exit_2(self, capsys):
+        # an explicitly empty --r used to mean r = 1
+        code, out, err = run(
+            capsys, "verify-family", "--family", "chain", "--n", "2", "--r", ""
+        )
+        assert code == 2 and not out
+        assert err == "error: --r must be non-empty\n"
+
 
 class TestRadicalDemo:
     def test_default_run(self, capsys):
@@ -209,6 +217,12 @@ class TestRadicalDemo:
     def test_j_below_jmin_exit_2(self, capsys):
         code, _, err = run(capsys, "radical-demo", "--j", "1")
         assert code == 2
+
+    def test_empty_j_exit_2(self, capsys):
+        # an empty --j gave an empty decay table and still all_ok
+        code, out, err = run(capsys, "radical-demo", "--j", "")
+        assert code == 2 and not out
+        assert err == "error: --j must be non-empty\n"
 
     def test_index_above_cap_exit_2(self, capsys):
         # the decay rows for --j 2 use the tail index 4, above the cap

@@ -1,10 +1,11 @@
 """The move set and the search heuristic: refusal and caching in
 build_moves and its goal table; soundness, dominance over the earlier
 bound and bounded cost of the heuristic, and its one bounded memo per
-move set, shared by searches and threads; the family floor that the
-engines' whole-family skip rests on; differential tests of exact
-lengths, through xlength and of the two engines called directly; the
-deadlines of the listing and of deepening; and both engines against
+move set, shared by searches and threads; the family floor and the
+monotonicity that the engines' family scoring rests on, and that step
+against a per-child scan; differential tests of exact lengths, through
+xlength and of the two engines called directly; the deadlines of the
+listing and of both engines; and both engines against
 full-scan references: best-first's partial expansion against the
 full-expansion loop it replaced, deepening against a plain recursive
 one."""
@@ -158,8 +159,8 @@ class TestBuildMoves:
     def test_listing_stops_at_the_deadline(self, monkeypatch):
         # the family is listed afresh here; one whose deadline has passed
         # raises at its first generator, and nothing of it is kept
-        monkeypatch.setattr(search, "_families", {})
         params, moves = move_set(2, 40)
+        monkeypatch.setattr(search, "_families", {})
         g = expand_generator(BigGen(IDENTITY, 1), params)
         u = g * g
         late = SearchBudget(max_millis=50)
@@ -365,7 +366,7 @@ extra_letters = st.one_of(st.integers(0, 12), st.integers(0, 5000))
 
 
 class TestFamilyFloor:
-    """What the engines' family skip relies on: h is monotone in the
+    """What the engines' family scoring relies on: h is monotone in the
     letter count from the l1 norm of the abelianisation up, and the
     floor key of a family is below every child's key."""
 
@@ -393,6 +394,49 @@ class TestFamilyFloor:
                 child = state_key(move.inverse * r)
                 assert child[:3] == floor[:3] and child[3] >= floor[3]
                 assert least <= h(child)
+
+
+class TestFamilyChildren:
+    """The family-scoring step of both engines against a per-child scan
+    that builds every child and calls h on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(2, 0), (2, 40), (3, 0)]),
+        remainders.filter(bool),
+        st.integers(1, 20),
+        st.integers(-2, 6),
+    )
+    def test_matches_per_child_scan(self, spec, r, ncost, slack):
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        key = state_key(r)
+        anti = search._signed(r.runs[0][0], -r.runs[0][1])
+        for fam in moves.groups:
+            floor_f = ncost + h(fam.floor(key))
+            limit = floor_f + slack
+            children = [(move, state_key(move.inverse * r)) for move in fam.moves]
+            scored = [(h(child), move, child) for move, child in children]
+            passing, over = search._family_children(
+                fam, h, key, r.runs, anti, ncost, limit, float("inf")
+            )
+            # exactly the children that pass, in move order, with h and key
+            assert passing == [c for c in scored if ncost + c[0] <= limit]
+            # a prefix by letter count: L*, the largest passing count, is
+            # below every failing child's
+            failing = [c for c in scored if ncost + c[0] > limit]
+            if passing:
+                cut = max(child[3] for _, _, child in passing)
+                assert all(cut < child[3] for _, _, child in failing)
+            # the overshoot: the least f among the failing children
+            assert over == min((ncost + c[0] for c in failing), default=float("inf"))
+            # with the overshoot at the floor's f, a failing floor leaves
+            # the family out unscored
+            skipped = search._family_children(
+                fam, h, key, r.runs, anti, ncost, limit, floor_f
+            )
+            left_out = ([], float("inf"))
+            assert skipped == (left_out if floor_f > limit else (passing, over))
 
 
 @lru_cache(maxsize=None)
@@ -650,17 +694,20 @@ def full_scan_deepening(u, moves, cap, h, budget, goal_of):
 
 
 def counting_skips(monkeypatch) -> list[int]:
-    """Counts, in its one entry, the nodes at which ``search._scan`` left
-    out at least one family."""
+    """Counts, in its one entry, the calls of ``search._family_children``
+    that cut a family whole: no child passes. One whose floor fails must
+    do so."""
     skips = [0]
-    scan = search._scan
+    score = search._family_children
 
-    def counted(moves, *args):
-        out = scan(moves, *args)
-        skips[0] += out is not moves.moves
+    def counted(fam, h, key, runs, anti, ncost, limit, overshoot):
+        out = score(fam, h, key, runs, anti, ncost, limit, overshoot)
+        if ncost + h(fam.floor(key)) > limit:
+            assert not out[0]
+        skips[0] += not out[0]
         return out
 
-    monkeypatch.setattr(search, "_scan", counted)
+    monkeypatch.setattr(search, "_family_children", counted)
     return skips
 
 
@@ -819,11 +866,11 @@ class TestEngines:
         assert (r.lower, r.upper, r.method) == (1202, 1202, "dual")
         assert not r.budget_exhausted
 
-    def test_deepening_deadline_on_index2_moves(self, monkeypatch):
-        # A node scores up to 656 children, so a check only every 1024
-        # nodes could overrun by about a second. The clock is read once
-        # at every node, which counting its reads shows however fast a
-        # node is; the overrun is then at most one node.
+    @staticmethod
+    def run_to_deadline(engine, monkeypatch) -> tuple[Outcome, int, float]:
+        """``engine`` on a^16 b^16 c a^-3 at base 2 with families (1, 2)
+        and ``max_millis`` 50: the outcome, the clock reads during the
+        search and the overrun in milliseconds."""
         params, moves = move_set(2, 40)
         u = Word.parse("a^16 b^16 c a^-3")
         h = make_heuristic(params, moves.families)
@@ -837,7 +884,20 @@ class TestEngines:
 
         monkeypatch.setattr(search.time, "perf_counter", counted)
         t0 = clock()
-        out = deepening(u, moves, cap, h, SearchBudget(max_millis=50), t0)
-        overrun_ms = (clock() - t0) * 1000 - 50
-        assert out.cost is None and len(reads) == out.nodes > 0
+        out = engine(u, moves, cap, h, SearchBudget(max_millis=50), t0)
+        return out, len(reads), (clock() - t0) * 1000 - 50
+
+    def test_deepening_deadline_on_index2_moves(self, monkeypatch):
+        # A node scores up to 656 children, so a check only every 1024
+        # nodes could overrun by about a second. The clock is read once
+        # at every node, which counting its reads shows however fast a
+        # node is; the overrun is then at most one node.
+        out, reads, overrun_ms = self.run_to_deadline(deepening, monkeypatch)
+        assert out.cost is None and reads == out.nodes > 0
         assert overrun_ms < 100  # one node takes at most about 1 ms
+
+    def test_best_first_deadline_on_index2_moves(self, monkeypatch):
+        # the same for best-first, whose clock read is at each node popped
+        out, reads, overrun_ms = self.run_to_deadline(best_first, monkeypatch)
+        assert out.cost is None and reads == out.nodes > 0
+        assert overrun_ms < 100
