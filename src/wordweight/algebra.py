@@ -35,13 +35,16 @@ from .words import IDENTITY, Word
 
 @dataclass(frozen=True)
 class ExpScalar:
-    """Exact value mantissa * e**exponent."""
+    """Exact value mantissa * e**exponent. The mantissa is a Fraction or an
+    int; a float or a bool raises TypeError, as Fraction() would read 0.1
+    as a binary float and True as 1."""
 
     mantissa: Fraction
     exponent: int = 0
 
     def __post_init__(self):
         if not isinstance(self.mantissa, Fraction):
+            _refuse_inexact(self.mantissa)
             object.__setattr__(self, "mantissa", Fraction(self.mantissa))
         if self.mantissa == 0 and self.exponent != 0:
             object.__setattr__(self, "exponent", 0)
@@ -70,6 +73,11 @@ class ExpScalar:
 
 ONE = ExpScalar(Fraction(1))
 ZERO = ExpScalar(Fraction(0))
+
+
+def _refuse_inexact(value) -> None:
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not exact: use an int or a Fraction")
 
 
 def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
@@ -214,7 +222,8 @@ def _promote(value) -> ExpSum:
     if isinstance(value, ExpScalar):
         return ExpSum.of(value)
     if isinstance(value, (int, Fraction)):
-        return ExpSum.of(ExpScalar(Fraction(value)))
+        return ExpSum.of(ExpScalar(value))
+    _refuse_inexact(value)
     raise TypeError(f"cannot compare ExpSum with {type(value).__name__}")
 
 

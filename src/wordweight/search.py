@@ -1,22 +1,26 @@
 """Exhaustive shortest-factorization search over the implicit Cayley graph.
 
 States are the remaining words still to be built; a move left-divides by
-one generator's expansion. Two engines are provided: a best-first search
-(priority queue on cost plus heuristic, with an incumbent so that an
-admissible but inconsistent heuristic still yields the optimum) and an
-iterative-deepening depth-first search whose bound grows by the exact
-minimal overshoot. Both are deterministic for fixed inputs and budgets.
+one generator's expansion. A state is held as its reduced runs (``Runs``),
+not as a Word, and a child is one reduced concatenation of the move's
+runs and the state's (``words.mul_runs``). Two engines are provided: a
+best-first search (priority queue on cost plus heuristic, with an
+incumbent so that an admissible but inconsistent heuristic still yields
+the optimum) and an iterative-deepening depth-first search whose bound
+grows by the exact minimal overshoot. Both are deterministic for fixed inputs and budgets.
 
 The heuristic reads only a state's key ``(na, nb, nc, letters)``: its
 abelianisation and letter count (``state_key``). A child's key follows
 from its parent's and the move's, the letter count less what cancels at
 the seam (``words.seam``), so both engines score each child before it is
-built and build only the children that pass (partial expansion).
+built and build only the children that pass (partial expansion). Each
+engine keeps a state's key beside its runs, in the heap entry or the
+frame, so no key is computed twice.
 
 The goal test is a lookup, not a move: a state is one move from the
 identity exactly when it is the expansion of some move, and the move
-set's goal table (``MoveSet.goals``) maps each expansion to its
-generator. So neither engine ever builds the identity, and best-first
+set's goal table (``MoveSet.goals``) maps the runs of each expansion to
+its generator. So neither engine ever builds the identity, and best-first
 takes an incumbent as soon as it pushes an expansion. Node counts are
 expanded states in both engines.
 
@@ -62,9 +66,11 @@ from .genset import (
     longest_expansion,
     max_usable_index,
 )
-from .words import LETTERS, AbelianVector, Word, seam
+from .words import LETTERS, AbelianVector, Run, Word, mul_runs, seam
 
 _INF = float("inf")
+
+Runs = tuple[Run, ...]  # a state: the reduced runs of a remainder
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,7 @@ class Family:
 class MoveSet:
     moves: list[Move]  # the letters, then each family in index order
     families: tuple[int, ...]  # indices of the indexed generators, ascending
-    goals: dict[Word, Gen]  # expansion -> its generator
+    goals: dict[Runs, Gen]  # an expansion's runs -> its generator
     groups: tuple[Family, ...]  # the listed families, in the order of ``families``
 
 
@@ -208,13 +214,14 @@ def _family(params: GenSetParams, j: int, deadline: float | None = None) -> Fami
 @lru_cache(maxsize=16)
 def _move_set(
     params: GenSetParams, families: tuple[int, ...]
-) -> tuple[tuple[Move, ...], dict[Word, Gen]]:
+) -> tuple[tuple[Move, ...], dict[Runs, Gen]]:
     """The letters and the given families as moves, and their goal table:
-    each expansion (``~move.inverse``) mapped to its generator. Distinct
-    generators have distinct expansions (``family_size``), so no entry is
-    lost. Callers never mutate what this returns."""
+    the runs of each expansion (``~move.inverse``) mapped to its
+    generator. Distinct generators have distinct expansions
+    (``family_size``), so no entry is lost. Callers never mutate what this
+    returns."""
     moves = _LETTER_MOVES + sum((_family(params, j).moves for j in families), ())
-    return moves, {~move.inverse: move.gen for move in moves}
+    return moves, {(~move.inverse).runs: move.gen for move in moves}
 
 
 def build_moves(
@@ -473,9 +480,13 @@ def best_first(
 ) -> Outcome:
     """Optimal factorization cost within ``cap``, or a proven lower bound.
 
-    Each child is scored before it is built: its key is the parent's
-    abelianisation plus the move's, and the two letter counts less the
-    letters cancelled at the seam, so f = cost + h(key) needs no product.
+    A heap entry is (f, letters, runs, cost, key): a state's runs and its
+    key ride with it, and ``best_g`` and the parent links are keyed by
+    runs. Each child is scored before it is built: its key is the
+    parent's abelianisation plus the move's, and the two letter counts
+    less the letters cancelled at the seam, so f = cost + h(key) needs no
+    product. A child that passes is built as runs (``words.mul_runs``);
+    no Word is made for it.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
     unbuilt. A letter child has one letter more than its parent, or one
     less when the letter cancels the parent's first. A family's children
@@ -513,11 +524,13 @@ def best_first(
     an incumbent of at most c*, a contradiction.
 
     The incumbent is a real path with exactly that many symbols. It is
-    recorded as (X, generator) with incumbent = best_g[X] + 1, and
-    best_g[X] drops only with a push of X, which looks X up again and
-    lowers the incumbent with it. Parent links point to states of
-    smaller best_g, so ``_rebuild`` walks from X back to u in at most
-    best_g[X] steps: a real factorization of at most incumbent symbols.
+    recorded as (X, generator), X the runs of a state, with incumbent =
+    best_g[X] + 1, and best_g[X] drops only with a push of X, which looks
+    X up again and lowers the incumbent with it. Runs are reduced, so
+    equal runs are one state, and a key by runs names the state a Word
+    key named. Parent links point to states of smaller best_g, so
+    ``_rebuild`` walks from X back to the runs of u in at most best_g[X]
+    steps: a real factorization of at most incumbent symbols.
     A proven incumbent is optimal, so the walk has exactly best_g[X]
     steps. When the budget runs out, the walk is returned unproven and
     its own length is used.
@@ -525,27 +538,28 @@ def best_first(
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
-    start_h = h(state_key(u))
+    root = state_key(u)
+    start_h = h(root)
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
     goals = moves.goals
-    best_g: dict[Word, int] = {u: 0}
-    parents: dict[Word, tuple[Word, Gen]] = {}
-    heap: list[tuple[int, int, tuple, int, Word]] = [
-        (start_h, u.s_length, u.runs, 0, u)
-    ]
+    product = mul_runs
+    start = u.runs
+    best_g: dict[Runs, int] = {start: 0}
+    parents: dict[Runs, tuple[Runs, Gen]] = {}
+    heap: list[tuple[int, int, Runs, int, tuple]] = [(start_h, root[3], start, 0, root)]
     incumbent: int | None = None
-    last: tuple[Word, Gen] | None = None  # the incumbent's expansion state
-    gen = goals.get(u)
+    last: tuple[Runs, Gen] | None = None  # the incumbent's expansion state
+    gen = goals.get(start)
     if gen is not None:
-        incumbent, last = 1, (u, gen)
+        incumbent, last = 1, (start, gen)
     nodes = 0
     while heap:
-        f, slen, runs, cost, state = heappop(heap)
+        f, _, runs, cost, key = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
-        if cost > best_g.get(state, -1):
+            return Outcome(incumbent, _rebuild(parents, start, last), nodes, incumbent)
+        if cost > best_g.get(runs, -1):
             continue  # stale entry
         nodes += 1
         if nodes > budget.max_nodes or (
@@ -553,36 +567,37 @@ def best_first(
         ):
             # an incumbent found before running dry is still a valid witness,
             # just not proven optimal
-            partial = _rebuild(parents, u, last) if incumbent is not None else None
+            partial = _rebuild(parents, start, last) if incumbent is not None else None
             return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
         if limit <= ncost:
             continue  # every child has f >= ncost + 1
-        key = (*state.abelianize(), slen)
         children = _scored(moves.groups, h, key, runs, ncost, limit)
         for value, move, nkey in chain.from_iterable(children):
-            nxt = move.inverse * state
+            nxt = product(move.inverse.runs, runs)[0]
             if ncost < best_g.get(nxt, _INF):
                 best_g[nxt] = ncost
-                parents[nxt] = (state, move.gen)
-                heappush(heap, (ncost + value, nkey[3], nxt.runs, ncost, nxt))
+                parents[nxt] = (runs, move.gen)
+                heappush(heap, (ncost + value, nkey[3], nxt, ncost, nkey))
                 if value == 1 and (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
+        return Outcome(incumbent, _rebuild(parents, start, last), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
     return Outcome(None, None, nodes, cap + 1)
 
 
 def _rebuild(
-    parents: dict[Word, tuple[Word, Gen]], u: Word, last: tuple[Word, Gen]
+    parents: dict[Runs, tuple[Runs, Gen]], start: Runs, last: tuple[Runs, Gen]
 ) -> list[Gen]:
-    """The path from u to ``last``'s state, then ``last``'s generator."""
+    """The path from ``start`` to ``last``'s state, then ``last``'s
+    generator; ``parents`` maps each state but ``start`` to its parent
+    and the generator between them."""
     state, gen = last
     path = [gen]
-    while state != u:
+    while state != start:
         state, gen = parents[state]
         path.append(gen)
     path.reverse()
@@ -605,8 +620,10 @@ def deepening(
     f <= bound. Each child is scored from its parent's key before it is
     built, as in ``best_first``; a child with f > bound enters the
     overshoot and is skipped unbuilt, and only a child that passes is
-    built and checked against the path. Nodes, the unit of ``max_nodes``,
-    are the states visited, each checked against the deadline. A visited
+    built, as runs (``words.mul_runs``), and checked against the path,
+    a set of runs. A frame holds its state's runs and key. Nodes, the
+    unit of ``max_nodes``, are the states visited, each checked against
+    the deadline. A visited
     state is looked up in the goal table first, and a hit ends the
     search: the path so far and the generator the table names. The walk
     keeps its own stack of frames instead of recursing, so a path may be
@@ -646,34 +663,35 @@ def deepening(
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
     goals, groups = moves.goals, moves.groups
+    product = mul_runs
     nodes = 0
     root_key = state_key(u)
     bound = h(root_key)
     while bound <= cap:
         overshoot = _INF
         path: list[Gen] = []  # the moves from u to the last state reached
-        on_path = {u}
-        # one frame per state on the path: the state, its key, the signed
-        # base that cancels its first run, the cost of its children, the
-        # moves not yet tried (letters, or a family's passing children as
-        # (h, move, key)) and the next family to score, 0 while the
-        # letters are tried
+        on_path = {u.runs}
+        # one frame per state on the path: the state's runs, its key, the
+        # signed base that cancels its first run, the cost of its
+        # children, the moves not yet tried (letters, or a family's
+        # passing children as (h, move, key)) and the next family to
+        # score, 0 while the letters are tried
         frames = []
-        state, key = u, root_key  # the state to visit next
-        while state is not None:
+        runs, key = u.runs, root_key  # the state to visit next
+        while runs is not None:
             nodes += 1
             if nodes > budget.max_nodes or (
                 deadline is not None and time.perf_counter() > deadline
             ):
                 return Outcome(None, None, nodes, bound)
-            gen = goals.get(state)
+            gen = goals.get(runs)
             if gen is not None:
                 path.append(gen)
                 return Outcome(len(path), path, nodes, len(path))
-            anti = _signed(state.runs[0][0], -state.runs[0][1])
-            frames.append([state, key, anti, len(frames) + 1, iter(_LETTER_MOVES), 0])
-            state = None
-            while state is None and frames:
+            anti = _signed(runs[0][0], -runs[0][1])
+            frames.append([runs, key, anti, len(frames) + 1, iter(_LETTER_MOVES), 0])
+            runs = None
+            while runs is None and frames:
                 frame = frames[-1]
                 parent, (na, nb, nc, slen), anti, ncost, untried, i = frame
                 for move in untried:
@@ -688,16 +706,16 @@ def deepening(
                             if f < overshoot:
                                 overshoot = f
                             continue
-                    nxt = move.inverse * parent
+                    nxt = product(move.inverse.runs, parent)[0]
                     if nxt not in on_path:
                         on_path.add(nxt)
                         path.append(move.gen)
-                        state, key = nxt, nkey
+                        runs, key = nxt, nkey
                         break
                 else:
                     if i < len(groups):  # the scan reaches family i
                         passing, over = _family_children(
-                            groups[i], h, frame[1], parent.runs, anti, ncost,
+                            groups[i], h, frame[1], parent, anti, ncost,
                             bound, overshoot,
                         )
                         if over < overshoot:

@@ -6,7 +6,9 @@ are plain Python ints, so magnitudes like 5**40 cost one run. All
 operations return new Word values; the runs never change after
 construction. A word's letter count and abelianisation are cached the
 first time they are asked for, and a product of two words that have both
-inherits them at the cost of its seam (``seam``).
+inherits them at the cost of its seam (``seam``). The product itself works
+on runs alone (``mul_runs``), so a caller that keeps run tuples, as the
+search engines do, multiplies without building a Word.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import WordSyntaxError
+from .errors import PreconditionViolated, WordSyntaxError
 
 BASES = ("a", "b", "c")
+
+#: Most runs that n copies of a power's core of several runs may hold,
+#: counted before they merge (``Word.__pow__``).
+POW_RUN_LIMIT = 1 << 22
 
 Run = tuple[str, int]
 
@@ -65,6 +71,18 @@ def seam(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[int, Run | None
             return taken, (base, s), cancelled + abs(lexp) + abs(exp) - abs(s)
         cancelled += 2 * abs(exp)
     return taken, None, cancelled
+
+
+def mul_runs(
+    left: tuple[Run, ...], right: tuple[Run, ...]
+) -> tuple[tuple[Run, ...], int]:
+    """The reduced product of two reduced run sequences, and the letters
+    cancelled where they meet (``seam``). Cost is proportional to the
+    runs taken at the seam plus the copy of the result."""
+    taken, merged, cancelled = seam(left, right)
+    if merged:
+        return left[: len(left) - taken] + (merged,) + right[taken:], cancelled
+    return left[: len(left) - taken] + right[taken:], cancelled
 
 
 class Word:
@@ -149,9 +167,8 @@ class Word:
             return other
         if not right:
             return self
-        taken, merged, cancelled = seam(left, right)
-        middle = (merged,) if merged else ()
-        product = Word(left[: len(left) - taken] + middle + right[taken:])
+        runs, cancelled = mul_runs(left, right)
+        product = Word(runs)
         if self._len is not None and other._len is not None:
             product._len = self._len + other._len - cancelled
         if self._ab is not None and other._ab is not None:
@@ -171,7 +188,9 @@ class Word:
         they only merge at the seam in the second case. The runs of the
         power are written out directly, so the cost is linear in the
         result, and independent of |n| when the core is a single run
-        (e.g. powers of one letter, or conjugates of them).
+        (e.g. powers of one letter, or conjugates of them). When the core
+        has k >= 2 runs and k n > ``POW_RUN_LIMIT``, the power raises
+        PreconditionViolated before any run is built.
         """
         if n == 0:
             return IDENTITY
@@ -191,6 +210,11 @@ class Word:
             s = e1 + e2
             if s != 0:
                 core.append((b1, s))
+        if len(core) > 1 and len(core) * n > POW_RUN_LIMIT:
+            raise PreconditionViolated(
+                f"power {n} of a {len(core)}-run core would hold more than "
+                f"{POW_RUN_LIMIT} runs"
+            )
         if len(core) <= 1:
             powered = Word(((core[0][0], core[0][1] * n),)) if core else IDENTITY
         elif core[0][0] != core[-1][0]:

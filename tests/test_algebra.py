@@ -57,6 +57,20 @@ class TestExpScalar:
         x = ExpScalar(Fraction(2, 3), -5) * ExpScalar(Fraction(3), 2)
         assert x == ExpScalar(Fraction(2), -3)
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+    def test_inexact_mantissa_is_refused(self, value):
+        # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+        # and True as 1
+        with pytest.raises(TypeError, match=f"^{value!r} is not exact"):
+            ExpScalar(value)
+        with pytest.raises(TypeError, match=f"^{value!r} is not exact"):
+            ExpSum.of(ONE) <= value
+
+    def test_ints_and_fractions_are_exact(self):
+        assert ExpScalar(3, 2) == ExpScalar(Fraction(3), 2)
+        assert ExpScalar(3).mantissa.denominator == 1
+        assert ExpSum.of(ONE) <= 1 and ExpSum.of(ONE) < Fraction(3, 2)
+
     def test_to_float(self):
         import math
 

@@ -10,6 +10,7 @@ from wordweight.errors import (
     ConstraintViolation,
     IndexTooSmall,
     InvalidCertificate,
+    PreconditionViolated,
     UnknownLength,
 )
 from wordweight.genset import BigGen, GenSetParams
@@ -38,7 +39,7 @@ from wordweight.lengths import (
     xlength,
 )
 from wordweight.search import Outcome, build_moves, make_heuristic, state_key
-from wordweight.words import IDENTITY, LETTERS, Letter, Word
+from wordweight.words import IDENTITY, LETTERS, POW_RUN_LIMIT, Letter, Word
 
 W = Word.parse
 P5 = GenSetParams(base=5, jmin=2)
@@ -225,6 +226,13 @@ class TestWitnesses:
             [letters_factorization(W("a")).items[0][0], BigGen(IDENTITY, 1)]
         )
         assert verify_factorization(f, P2) == (W("a b^2 a^4 b^4"), 2)
+
+    def test_verify_refuses_an_oversized_power(self):
+        # n copies of the 3-run core b^2 a^4 b^4 would hold more than
+        # POW_RUN_LIMIT runs; the power refuses before building any of them
+        f = Factorization(((BigGen(IDENTITY, 1), POW_RUN_LIMIT // 3 + 1),))
+        with pytest.raises(PreconditionViolated, match="would hold more than"):
+            verify_factorization(f, P2)
 
     def test_letters_factorization_is_run_compressed(self):
         f = letters_factorization(W(f"c^{10**6}"))

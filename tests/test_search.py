@@ -199,10 +199,11 @@ class TestBuildMoves:
     @pytest.mark.parametrize("spec", MOVE_SET_SPECS)
     def test_goal_table_files_every_expansion_once(self, spec):
         params, moves = move_set(*spec)
-        # one entry per move: distinct generators have distinct expansions
+        # one entry per move, keyed by the runs of its expansion: distinct
+        # generators have distinct expansions
         assert len(moves.goals) == len(moves.moves)
         assert moves.goals == {
-            expand_generator(mv.gen, params): mv.gen for mv in moves.moves
+            expand_generator(mv.gen, params).runs: mv.gen for mv in moves.moves
         }
 
 
@@ -740,15 +741,15 @@ class TestPartialExpansion:
         skips = counting_skips(monkeypatch)
         products = []
         pushed = set()
-        multiply = Word.__mul__
+        multiply = search.mul_runs
 
         def recorded_mul(x, y):
             product = multiply(x, y)
-            products.append(product)
+            products.append(product[0])
             return product
 
         def recorded_push(heap, item):
-            pushed.add(item[-1])
+            pushed.add(item[2])  # the runs of the state pushed
             heappush(heap, item)
 
         built = 0
@@ -760,7 +761,7 @@ class TestPartialExpansion:
                 products.clear()
                 pushed.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(Word, "__mul__", recorded_mul)
+                    patch.setattr(search, "mul_runs", recorded_mul)
                     patch.setattr(search, "heappush", recorded_push)
                     got = best_first(u, moves, cap, h, budget, 0.0)
                 assert got == expected, str(u)
@@ -769,7 +770,7 @@ class TestPartialExpansion:
                 # is the root or a pushed state. The identity never passes,
                 # as its parent is an expansion. Scoring after the product
                 # would build children that are none of these.
-                assert pushed.union([u]).issuperset(products), str(u)
+                assert pushed.union([u.runs]).issuperset(products), str(u)
                 built += len(products)
         assert built and skips[0]
 

@@ -2,17 +2,20 @@ import random
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from wordweight.errors import WordSyntaxError
+from wordweight import words
+from wordweight.errors import PreconditionViolated, WordSyntaxError
 from wordweight.words import (
     HOM_AB,
     HOM_B_MINUS_C,
     HOM_C,
     IDENTITY,
+    POW_RUN_LIMIT,
     AbelianVector,
     Word,
     hom_value,
+    mul_runs,
     seam,
 )
 
@@ -156,6 +159,24 @@ class TestPow:
         worker.join(timeout=10)
         assert not worker.is_alive()
         assert results == [runs for _, _, runs in cases]
+        assert max(runs for _, _, runs in cases) < POW_RUN_LIMIT
+
+    def test_oversized_power_is_refused(self, monkeypatch):
+        # n copies of a core of several runs past the limit raise before
+        # any of them is built, whatever the shell and the sign of n; the
+        # powers sit just past it, so that one built anyway still fits in
+        # memory
+        with pytest.raises(PreconditionViolated, match=f"more than {POW_RUN_LIMIT} runs"):
+            W("a b") ** (POW_RUN_LIMIT // 2 + 1)
+        with pytest.raises(PreconditionViolated):
+            W("c a b a c^-1") ** -(POW_RUN_LIMIT // 3 + 1)  # a 3-run core
+        # a single-run core costs O(1) at any n
+        assert (W("a b a^-1") ** 10**100).runs == (("a", 1), ("b", 10**100), ("a", -1))
+        # up to the limit the power is built
+        monkeypatch.setattr(words, "POW_RUN_LIMIT", 12)
+        assert W("a b") ** 6 == W("a b a b a b a b a b a b")
+        with pytest.raises(PreconditionViolated):
+            W("a b") ** 7
 
 
 class TestLengthAndHoms:
@@ -303,6 +324,24 @@ class TestCachedLetterData:
         assert cancelled == x.s_length + y.s_length - product.s_length
         middle = (merged,) if merged else ()
         assert x.runs[: len(x.runs) - taken] + middle + y.runs[taken:] == product.runs
+
+    @given(seam_pairs())
+    @example((W("a b^2 c^-3"), W("c^3 b^-2 a^-1")))  # every run cancels
+    @example((W("a b^2 c^-3"), W("c^3 b^-2 a^2")))  # a chain, then a merge
+    def test_mul_runs_reduces_the_concatenation(self, pair):
+        x, y = pair
+        runs, cancelled = mul_runs(x.runs, y.runs)
+        product = Word.from_runs(x.runs + y.runs)
+        assert runs == product.runs
+        assert cancelled == x.s_length + y.s_length - product.s_length
+
+    def test_mul_runs_cases(self):
+        big = 5**20
+        x = (("a", 1), ("b", big), ("c", -3))
+        assert mul_runs(x, (("c", 3), ("b", -big), ("a", -1))) == ((), 2 * big + 8)
+        assert mul_runs(x, (("c", 3), ("b", 1 - big))) == ((("a", 1), ("b", 1)), 2 * big + 4)
+        assert mul_runs(x, (("c", -1),)) == ((("a", 1), ("b", big), ("c", -4)), 0)
+        assert mul_runs((), x) == (x, 0) and mul_runs(x, ()) == (x, 0)
 
     def test_seam_cases(self):
         big = 5**20
