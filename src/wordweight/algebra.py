@@ -37,7 +37,8 @@ from .words import IDENTITY, Word
 class ExpScalar:
     """Exact value mantissa * e**exponent. The mantissa is a Fraction or an
     int; a float or a bool raises TypeError, as Fraction() would read 0.1
-    as a binary float and True as 1."""
+    as a binary float and True as 1. The exponent is an int, and anything
+    else, a bool or a float included, raises TypeError."""
 
     mantissa: Fraction
     exponent: int = 0
@@ -46,6 +47,8 @@ class ExpScalar:
         if not isinstance(self.mantissa, Fraction):
             _refuse_inexact(self.mantissa)
             object.__setattr__(self, "mantissa", Fraction(self.mantissa))
+        if type(self.exponent) is not int:
+            raise TypeError(f"exponent {self.exponent!r} is not an int")
         if self.mantissa == 0 and self.exponent != 0:
             object.__setattr__(self, "exponent", 0)
 

@@ -20,13 +20,20 @@ from .words import HOM_AB, LETTERS, Letter, Word, hom_value
 
 @dataclass(frozen=True)
 class GenSetParams:
-    """Construction parameters: base, starting index, optional index cap."""
+    """Construction parameters: base, starting index, optional index cap.
+    Each is an int, and the cap may be None; anything else, a float or a
+    bool included, raises TypeError, as a float base would make lengths
+    and exponents floats."""
 
     base: int = 5
     jmin: int = 2
     jmax_cap: int | None = None
 
     def __post_init__(self):
+        for name in ("base", "jmin", "jmax_cap"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "jmax_cap"):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.jmin < 1:

@@ -39,12 +39,13 @@ comes from the runs where the move meets the state, and ``words.seam``
 walks only when two whole runs cancel.
 
 A move set depends on the parameters and the families below the index
-cutoff alone, so each one, with its goal table, is built once per
-process; each family is listed once per process too, and a listing cut
-short by the deadline is not kept. So is the heuristic: its value at a
-key depends on the parameters, the families and the key alone, so every
-search with the same families reads one memo, which holds at most
-``_MEMO_LIMIT`` keys.
+cutoff alone, so each one, with its goal table and its families, is
+listed once per process into one frozen ``MoveSet`` that every later
+search with those families reads; at most ``_MOVE_SET_LIMIT`` are kept,
+and a listing cut short by the deadline is not. So is the heuristic: its
+value at a key depends on the parameters, the families and the key
+alone, so every search with the same families reads one memo, which
+holds at most ``_MEMO_LIMIT`` keys.
 """
 
 from __future__ import annotations
@@ -83,20 +84,16 @@ class SearchBudget:
 @dataclass(frozen=True)
 class Move:
     gen: Gen
-    inverse: Word  # inverse of the expansion, applied to remainders
-    ab: AbelianVector  # abelianisation of ``inverse``
-    letters: int  # letter count of ``inverse``
-    tail: str  # the last run of ``inverse`` as a signed base (``_signed``)
+    runs: Runs  # the inverse of the expansion, applied to remainders
+    ab: AbelianVector  # abelianisation of ``runs``
+    letters: int  # letter count of ``runs``
+    tail: str  # the last run of ``runs`` as a signed base (``_signed``)
 
     @classmethod
-    def of(cls, gen: Gen, inverse: Word) -> "Move":
-        return cls(
-            gen,
-            inverse,
-            inverse.abelianize(),
-            inverse.s_length,
-            _signed(*inverse.runs[-1]),
-        )
+    def of(cls, gen: Gen, expansion: Word) -> "Move":
+        inverse = ~expansion
+        runs, ab, letters = inverse.runs, inverse.abelianize(), inverse.s_length
+        return cls(gen, runs, ab, letters, _signed(*runs[-1]))
 
 
 def _signed(base: str, exp: int) -> str:
@@ -131,7 +128,7 @@ class Family:
         letters = tuple(move.letters for move in moves)
         tails: dict[str, list[tuple[int, int]]] = {}
         for i, move in enumerate(moves):
-            tails.setdefault(move.tail, []).append((i, abs(move.inverse.runs[-1][1])))
+            tails.setdefault(move.tail, []).append((i, abs(move.runs[-1][1])))
         return cls(
             moves[0].ab,
             min(letters),
@@ -159,9 +156,9 @@ class Family:
         return (na, nb, nc, least)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoveSet:
-    moves: list[Move]  # the letters, then each family in index order
+    moves: tuple[Move, ...]  # the letters, then each family in index order
     families: tuple[int, ...]  # indices of the indexed generators, ascending
     goals: dict[Runs, Gen]  # an expansion's runs -> its generator
     groups: tuple[Family, ...]  # the listed families, in the order of ``families``
@@ -175,53 +172,13 @@ class Outcome:
     lower_bound: int  # proven even when no factorization was found
 
 
-_LETTER_MOVES = tuple(Move.of(letter, ~letter.word()) for letter in LETTERS)
+_LETTER_MOVES = tuple(Move.of(letter, letter.word()) for letter in LETTERS)
 
 
-# Listed families, at most ``_FAMILY_LIMIT``; the oldest goes first.
-_families: dict[tuple[GenSetParams, int], Family] = {}
-_families_lock = threading.Lock()
-_FAMILY_LIMIT = 16
-
-
-def _family(params: GenSetParams, j: int, deadline: float | None = None) -> Family:
-    """The index-j family, listed once per process.
-
-    A family depends on (params, j) alone, so a complete listing is kept
-    and every later call reads it; callers never mutate what it holds.
-    With a ``deadline`` (a ``time.perf_counter`` value), the listing
-    checks it before each generator and raises BudgetExhausted once it
-    has passed. Nothing is kept then, so a later call, with or without a
-    deadline, lists the whole family again.
-    """
-    key = (params, j)
-    family = _families.get(key)
-    if family is not None:
-        return family
-    moves = []
-    for gen in enumerate_generators(params, j):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExhausted(f"index-{j} family not listed before the deadline")
-        moves.append(Move.of(gen, ~expand_generator(gen, params)))
-    family = Family.of(tuple(moves))
-    with _families_lock:
-        _families[key] = family
-        while len(_families) > _FAMILY_LIMIT:
-            del _families[next(iter(_families))]
-    return family
-
-
-@lru_cache(maxsize=16)
-def _move_set(
-    params: GenSetParams, families: tuple[int, ...]
-) -> tuple[tuple[Move, ...], dict[Runs, Gen]]:
-    """The letters and the given families as moves, and their goal table:
-    the runs of each expansion (``~move.inverse``) mapped to its
-    generator. Distinct generators have distinct expansions
-    (``family_size``), so no entry is lost. Callers never mutate what this
-    returns."""
-    moves = _LETTER_MOVES + sum((_family(params, j).moves for j in families), ())
-    return moves, {(~move.inverse).runs: move.gen for move in moves}
+# Move sets listed, at most ``_MOVE_SET_LIMIT``; the oldest goes first.
+_move_sets: dict[tuple[GenSetParams, tuple[int, ...]], MoveSet] = {}
+_move_sets_lock = threading.Lock()
+_MOVE_SET_LIMIT = 16
 
 
 def build_moves(
@@ -236,20 +193,44 @@ def build_moves(
     Raises BudgetExhausted, before listing anything, if some index family
     below the cutoff has more generators than the node budget (its size
     is known in closed form, ``family_size``), so paper-scale bases fail
-    at once; and while listing a family not yet listed in this process,
-    once ``budget.max_millis`` has passed since ``t0`` (by default, this
-    call's start). The move list is the caller's own; the goal table and
-    the families are shared by every call with the same families and are
-    never mutated.
+    at once. A move set depends on (params, families) alone, so it is
+    listed once per process and every later call with the same families
+    returns that one frozen value, which no caller mutates. Its goal
+    table maps the runs of each expansion to its generator; distinct
+    generators have distinct expansions (``family_size``), so no entry is
+    lost. While listing, the call checks before each generator whether
+    ``budget.max_millis`` has passed since ``t0`` (by default, this
+    call's start) and raises BudgetExhausted once it has. Nothing is kept
+    then, so a later call, with or without a deadline, lists the move set
+    again.
     """
     cutoff = max_usable_index(u, upper_bound, params)
     families = () if cutoff is None else tuple(range(params.jmin, cutoff + 1))
     for j in families:
         check_family_size(params, j, budget.max_nodes)
+    key = (params, families)
+    moves = _move_sets.get(key)
+    if moves is not None:
+        return moves
     deadline = _deadline(budget, time.perf_counter() if t0 is None else t0)
-    groups = tuple(_family(params, j, deadline) for j in families)
-    moves, goals = _move_set(params, families)
-    return MoveSet(moves=list(moves), families=families, goals=goals, groups=groups)
+    goals = {letter.word().runs: letter for letter in LETTERS}
+    groups = []
+    for j in families:
+        family = []
+        for gen in enumerate_generators(params, j):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise BudgetExhausted(f"index-{j} family not listed before the deadline")
+            expansion = expand_generator(gen, params)
+            goals[expansion.runs] = gen
+            family.append(Move.of(gen, expansion))
+        groups.append(Family.of(tuple(family)))
+    moves = chain(_LETTER_MOVES, *(fam.moves for fam in groups))
+    moves = MoveSet(tuple(moves), families, goals, tuple(groups))
+    with _move_sets_lock:
+        _move_sets[key] = moves
+        while len(_move_sets) > _MOVE_SET_LIMIT:
+            del _move_sets[next(iter(_move_sets))]
+    return moves
 
 
 def state_key(r: Word) -> tuple[int, int, int, int]:
@@ -433,7 +414,7 @@ def _family_children(
         if size != head:
             counts[i] -= 2 * min(size, head)
         else:
-            counts[i] -= seam(fam.moves[i].inverse.runs, runs)[2]
+            counts[i] -= seam(fam.moves[i].runs, runs)[2]
     least = min(counts)
     value = h(ab + (least,))
     if ncost + value > limit:  # no child passes
@@ -575,7 +556,7 @@ def best_first(
             continue  # every child has f >= ncost + 1
         children = _scored(moves.groups, h, key, runs, ncost, limit)
         for value, move, nkey in chain.from_iterable(children):
-            nxt = product(move.inverse.runs, runs)[0]
+            nxt = product(move.runs, runs)
             if ncost < best_g.get(nxt, _INF):
                 best_g[nxt] = ncost
                 parents[nxt] = (runs, move.gen)
@@ -706,7 +687,7 @@ def deepening(
                             if f < overshoot:
                                 overshoot = f
                             continue
-                    nxt = product(move.inverse.runs, parent)[0]
+                    nxt = product(move.runs, parent)
                     if nxt not in on_path:
                         on_path.add(nxt)
                         path.append(move.gen)

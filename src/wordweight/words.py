@@ -5,10 +5,10 @@ runs with adjacent runs on distinct bases and no zero exponents. Exponents
 are plain Python ints, so magnitudes like 5**40 cost one run. All
 operations return new Word values; the runs never change after
 construction. A word's letter count and abelianisation are cached the
-first time they are asked for, and a product of two words that have both
-inherits them at the cost of its seam (``seam``). The product itself works
-on runs alone (``mul_runs``), so a caller that keeps run tuples, as the
-search engines do, multiplies without building a Word.
+first time they are asked for. The product works on runs alone
+(``mul_runs``), so a caller that keeps run tuples, as the search engines
+do, multiplies without building a Word; ``seam`` says how many letters
+cancel where two run sequences meet.
 """
 
 from __future__ import annotations
@@ -73,16 +73,14 @@ def seam(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[int, Run | None
     return taken, None, cancelled
 
 
-def mul_runs(
-    left: tuple[Run, ...], right: tuple[Run, ...]
-) -> tuple[tuple[Run, ...], int]:
-    """The reduced product of two reduced run sequences, and the letters
-    cancelled where they meet (``seam``). Cost is proportional to the
-    runs taken at the seam plus the copy of the result."""
-    taken, merged, cancelled = seam(left, right)
+def mul_runs(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[Run, ...]:
+    """The reduced product of two reduced run sequences (``seam``). Cost
+    is proportional to the runs taken at the seam plus the copy of the
+    result."""
+    taken, merged, _ = seam(left, right)
     if merged:
-        return left[: len(left) - taken] + (merged,) + right[taken:], cancelled
-    return left[: len(left) - taken] + right[taken:], cancelled
+        return left[: len(left) - taken] + (merged,) + right[taken:]
+    return left[: len(left) - taken] + right[taken:]
 
 
 class Word:
@@ -97,8 +95,8 @@ class Word:
         # from_runs()/parse() for unvalidated input.
         self.runs = runs
         self._hash = None
-        self._len = None  # letter count, filled by s_length or __mul__
-        self._ab = None  # AbelianVector, filled by abelianize or __mul__
+        self._len = None  # letter count, filled by s_length
+        self._ab = None  # AbelianVector, filled by abelianize
 
     @classmethod
     def from_runs(cls, runs: Iterable[Run]) -> "Word":
@@ -154,27 +152,12 @@ class Word:
         return not self.runs
 
     def __mul__(self, other: "Word") -> "Word":
-        """Concatenate and reduce. Cost is proportional to cancelled runs.
-
-        When both factors have their letter count and abelianisation
-        cached, the product gets them too: the abelianisations add, and
-        the letter counts add less the letters cancelled at the seam.
-        Otherwise the product's stay empty, so no caller pays for data it
-        never reads.
-        """
-        left, right = self.runs, other.runs
-        if not left:
+        """Concatenate and reduce. Cost is proportional to cancelled runs."""
+        if not self.runs:
             return other
-        if not right:
+        if not other.runs:
             return self
-        runs, cancelled = mul_runs(left, right)
-        product = Word(runs)
-        if self._len is not None and other._len is not None:
-            product._len = self._len + other._len - cancelled
-        if self._ab is not None and other._ab is not None:
-            x, y = self._ab, other._ab
-            product._ab = AbelianVector(x[0] + y[0], x[1] + y[1], x[2] + y[2])
-        return product
+        return Word(mul_runs(self.runs, other.runs))
 
     def __invert__(self) -> "Word":
         return Word(tuple((base, -exp) for base, exp in reversed(self.runs)))

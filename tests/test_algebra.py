@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,13 @@ class TestExpScalar:
             ExpScalar(value)
         with pytest.raises(TypeError, match=f"^{value!r} is not exact"):
             ExpSum.of(ONE) <= value
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, False, Fraction(1)])
+    def test_exponent_other_than_int_is_refused(self, value):
+        # a float or bool exponent once printed as 1*e^0.5 or 1*e^True
+        message = f"^exponent {re.escape(repr(value))} is not an int$"
+        with pytest.raises(TypeError, match=message):
+            ExpScalar(Fraction(1), value)
 
     def test_ints_and_fractions_are_exact(self):
         assert ExpScalar(3, 2) == ExpScalar(Fraction(3), 2)

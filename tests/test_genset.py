@@ -17,6 +17,7 @@ from wordweight.genset import (
     normalize_conjugator,
     theta_value,
 )
+from wordweight.lengths import xlength
 from wordweight.words import IDENTITY, LETTERS, Word
 
 W = Word.parse
@@ -60,6 +61,30 @@ class TestParams:
             GenSetParams(jmin=0)
         with pytest.raises(ValueError):
             GenSetParams(base=5, jmin=2, jmax_cap=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # a float base once gave the family length 129.0 of
+            # c^3 a^625 b^625 and a witness item b^-1 *125.0
+            ({"base": 5.0, "jmin": 2}, "base must be an int, got 5.0"),
+            ({"base": True}, "base must be an int, got True"),
+            ({"jmin": True}, "jmin must be an int, got True"),
+            ({"jmin": 2.0}, "jmin must be an int, got 2.0"),
+            ({"jmax_cap": 3.0}, "jmax_cap must be an int, got 3.0"),
+            ({"jmax_cap": False}, "jmax_cap must be an int, got False"),
+        ],
+    )
+    def test_inexact_fields_are_refused(self, fields, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            GenSetParams(**fields)
+
+    def test_int_fields_are_kept(self):
+        assert (P5.base, P5.jmin, P5.jmax_cap) == (5, 2, None)
+        capped = GenSetParams(base=3, jmin=1, jmax_cap=4)
+        assert (capped.base, capped.jmin, capped.jmax_cap) == (3, 1, 4)
+        r = xlength(W("c^3 a^625 b^625"), P5, mode="family")
+        assert r.exact and type(r.lower) is int and r.lower == 129
 
     def test_schedule(self):
         assert P5.conjugator_bound(2) == 25

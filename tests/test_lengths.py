@@ -448,7 +448,7 @@ class TestXLength:
                 if d > depth_cap:
                     continue
                 for mv in moves.moves:
-                    nxt = mv.inverse * state
+                    nxt = Word(mv.runs) * state
                     if nxt.is_identity():
                         return d
                     if nxt not in dist and d < depth_cap:

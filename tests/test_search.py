@@ -1,7 +1,8 @@
-"""The move set and the search heuristic: refusal and caching in
-build_moves and its goal table; soundness, dominance over the earlier
-bound and bounded cost of the heuristic, and its one bounded memo per
-move set, shared by searches and threads; the family floor and the
+"""The move set and the search heuristic: refusal and the one bounded
+cache of frozen move sets in build_moves, and its goal table;
+soundness, dominance over the earlier bound and bounded cost of the
+heuristic, and its one bounded memo per move set, shared by searches
+and threads; the family floor and the
 monotonicity that the engines' family scoring rests on, and that step
 against a per-child scan; differential tests of exact lengths, through
 xlength and of the two engines called directly; the deadlines of the
@@ -45,8 +46,6 @@ from wordweight import search
 from wordweight.search import (
     MoveSet,
     Outcome,
-    _family,
-    _move_set,
     _rebuild,
     best_first,
     build_moves,
@@ -135,45 +134,62 @@ class TestBuildMoves:
         fits = build_moves(u, u.s_length + 40, params, SearchBudget(max_nodes=625))
         assert fits.moves == moves.moves and len(moves.moves) == 6 + 25 + 625
 
-    def test_calls_return_independent_lists(self):
+    def test_calls_share_one_frozen_move_set(self):
         params = GenSetParams(base=2, jmin=1)
-        u = expand_generator(BigGen(IDENTITY, 1), params) * Word((("c", 1),))
+        g = expand_generator(BigGen(IDENTITY, 1), params)
+        u = g * Word((("c", 1),))
         first = build_moves(u, u.s_length, params, SearchBudget())
-        expected = list(first.moves)
-        first.moves.clear()
-        second = build_moves(u, u.s_length, params, SearchBudget())
-        assert second.moves == expected and len(expected) == 6 + 25
-        assert second.moves is not first.moves
+        assert first.families == (1,) and len(first.moves) == 6 + 25
+        # another target and bound with the same families reads the same value
+        assert build_moves(u, u.s_length, params, SearchBudget()) is first
+        assert build_moves(g * g, (g * g).s_length, params, SearchBudget()) is first
+        assert isinstance(first.moves, tuple) and isinstance(first.groups, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.moves = ()
+
+    def test_cache_keeps_the_newest_move_sets(self, monkeypatch):
+        monkeypatch.setattr(search, "_move_sets", {})
+        monkeypatch.setattr(search, "_MOVE_SET_LIMIT", 2)
+        u = Word.parse("a b")
+        # upper bounds 2, 20 and 40 put the index cutoff at none, 1 and 2
+        built = [build_moves(u, upper, P2, SearchBudget()) for upper in (2, 20, 40)]
+        assert [moves.families for moves in built] == [(), (1,), (1, 2)]
+        assert list(search._move_sets) == [(P2, (1,)), (P2, (1, 2))]
+        assert build_moves(u, 20, P2, SearchBudget()) is built[1]
+        assert build_moves(u, 40, P2, SearchBudget()) is built[2]
+        # the evicted letters-only set is listed again, equal but new
+        again = build_moves(u, 2, P2, SearchBudget())
+        assert again == built[0] and again is not built[0]
+        assert list(search._move_sets) == [(P2, (1, 2)), (P2, ())]
 
     def test_bases_do_not_share_families(self):
         expansions = {}
         for base in (2, 3):
-            params = GenSetParams(base=base, jmin=1)
-            moves, goals = _move_set(params, (1,))
-            assert _move_set(params, (1,))[1] is goals  # built once per process
-            assert moves[6:] == _family(params, 1).moves
-            expansions[base] = {e for e, g in goals.items() if isinstance(g, BigGen)}
+            _, moves = move_set(base, 0)
+            assert moves.moves[6:] == moves.groups[0].moves
+            goals = moves.goals.items()
+            expansions[base] = {e for e, g in goals if isinstance(g, BigGen)}
         assert len(expansions[2]) == 25 and len(expansions[3]) == 125
         assert expansions[2].isdisjoint(expansions[3])
 
     def test_listing_stops_at_the_deadline(self, monkeypatch):
-        # the family is listed afresh here; one whose deadline has passed
-        # raises at its first generator, and nothing of it is kept
+        # the move set is listed afresh here; a listing whose deadline has
+        # passed raises at its first generator, and nothing of it is kept
         params, moves = move_set(2, 40)
-        monkeypatch.setattr(search, "_families", {})
+        monkeypatch.setattr(search, "_move_sets", {})
         g = expand_generator(BigGen(IDENTITY, 1), params)
         u = g * g
         late = SearchBudget(max_millis=50)
         with pytest.raises(BudgetExhausted, match="^index-1 family not listed"):
             build_moves(u, u.s_length + 40, params, late, time.perf_counter() - 1)
-        assert search._families == {}
+        assert search._move_sets == {}
         # a call without a deadline lists every family whole
         full = build_moves(u, u.s_length + 40, params, SearchBudget())
         assert full.moves == moves.moves
         assert [len(fam.moves) for fam in full.groups] == [25, 625]
-        # a listed family is read, not listed again, so no deadline applies
+        # a listed move set is read, not listed again, so no deadline applies
         again = build_moves(u, u.s_length + 40, params, late, time.perf_counter() - 1)
-        assert again.groups == full.groups
+        assert again is full
 
     def test_deadline_during_a_long_listing(self):
         # the base-2 index-3 family has 390,625 generators and takes
@@ -184,7 +200,7 @@ class TestBuildMoves:
         r = xlength(u, P2, SearchBudget(max_millis=50))
         assert time.perf_counter() - t0 < 1
         assert (r.method, r.lower, r.upper, r.nodes_expanded) == ("budget", 23, 34, 0)
-        assert (P2, 3) not in search._families
+        assert (P2, (1, 2, 3)) not in search._move_sets
 
     def test_families_share_one_abelianisation(self):
         params, moves = move_set(2, 40)
@@ -392,7 +408,7 @@ class TestFamilyFloor:
             assert floor[3] >= sum(map(abs, floor[:3]))
             least = h(floor)
             for move in fam.moves:
-                child = state_key(move.inverse * r)
+                child = state_key(Word(move.runs) * r)
                 assert child[:3] == floor[:3] and child[3] >= floor[3]
                 assert least <= h(child)
 
@@ -416,7 +432,7 @@ class TestFamilyChildren:
         for fam in moves.groups:
             floor_f = ncost + h(fam.floor(key))
             limit = floor_f + slack
-            children = [(move, state_key(move.inverse * r)) for move in fam.moves]
+            children = [(move, state_key(Word(move.runs) * r)) for move in fam.moves]
             scored = [(h(child), move, child) for move, child in children]
             passing, over = search._family_children(
                 fam, h, key, r.runs, anti, ncost, limit, float("inf")
@@ -540,7 +556,7 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of):
         ncost = cost + 1
         for move in moves.moves:
             limit = cap if incumbent is None else min(cap, incumbent - 1)
-            nxt = move.inverse * state
+            nxt = Word(move.runs) * state
             if ncost < best_g.get(nxt, float("inf")) and (
                 f_nxt := ncost + h(state_key(nxt))
             ) <= limit:
@@ -670,7 +686,7 @@ def full_scan_deepening(u, moves, cap, h, budget, goal_of):
                 path.append(goal_of[state])
                 return True
             for move in moves.moves:
-                nxt = move.inverse * state
+                nxt = Word(move.runs) * state
                 f = cost + 1 + h(state_key(nxt))
                 if f > bound:
                     overshoot = min(overshoot, f)
@@ -745,7 +761,7 @@ class TestPartialExpansion:
 
         def recorded_mul(x, y):
             product = multiply(x, y)
-            products.append(product[0])
+            products.append(product)
             return product
 
         def recorded_push(heap, item):
