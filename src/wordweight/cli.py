@@ -123,7 +123,9 @@ def build_run_config(args, default_mode: str) -> RunConfig:
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     max_ms = pick(args.max_ms, "max_ms", None)
-    if isinstance(max_ms, bool):  # float() would read a JSON bool as 0 or 1
+    # float() would read a JSON bool as 0 or 1, and raise TypeError on a
+    # JSON list or object
+    if isinstance(max_ms, (bool, list, dict)):
         raise ValueError(f"max_ms must be a number, got {max_ms!r}")
     max_ms = float(max_ms) if max_ms is not None else None
     if max_ms is not None and not max_ms > 0:

@@ -24,19 +24,28 @@ its generator. So neither engine ever builds the identity, and best-first
 takes an incumbent as soon as it pushes an expansion. Node counts are
 expanded states in both engines.
 
+The child scan. Both engines take a node's children from one lazy scan
+(``_children``): the passing children, in move order, the letters first
+and then each family, each scored only when the scan reaches it, and
+the least f of the failing ones folded into a one-cell overshoot. A
+consumer that stops early, as best-first does at a goal, scores nothing
+past the child it stopped at.
+
 Family scoring. Every index-j inverse has the same abelianisation, so
 a node's children in one family share theirs, and at a fixed
 abelianisation h does not decrease as the letter count grows from the l1
 norm up (``make_heuristic``), where every child's letter count is. So
 the children that pass the f test are those below one cutoff letter
 count, and ``_family_children`` scores a family with one heuristic call
-per distinct letter count up to the cutoff and none past it. One call at
-the family's floor key (``Family.floor``) first leaves out a family none
-of whose children can pass. Best-first needs h at each passing child,
-for its heap; deepening needs only the least f of the failing children,
-for its overshoot, and that is h at the cutoff. A child's letter count
-comes from the runs where the move meets the state, and ``words.seam``
-walks only when two whole runs cancel.
+per distinct letter count up to the cutoff and none past it; the least
+f of its failing children, for the overshoot, is h at the cutoff. One
+call at the family's floor key (``Family.floor``) first leaves out a
+family none of whose children can pass, when the floor's f is also no
+lower than the overshoot so far: every child's f is at least the
+floor's, so none of them could lower it. Best-first's overshoot cell
+holds 0, so it leaves out every family whose floor fails. A child's
+letter count comes from the runs where the move meets the state, and
+``words.seam`` walks only when two whole runs cancel.
 
 A move set depends on the parameters and the families below the index
 cutoff alone, so each one, with its goal table and its families, is
@@ -381,7 +390,7 @@ def _family_children(
     none fails. A family whose floor fails and is no lower than
     ``overshoot`` is left out whole, with no child scored and ``over``
     infinity, as every child's f is at least the floor's. Best-first,
-    which needs no overshoot, passes 0.
+    which needs no overshoot, passes 0 (``_children``).
 
     One cutoff decides every child. The children share the floor key's
     abelianisation, and each one's letter count is at least the floor's,
@@ -430,25 +439,40 @@ def _family_children(
     return [(hs[n], move, ab + (n,)) for move, n in children], _INF
 
 
-def _scored(groups, h, key, runs, ncost, limit):
-    """Best-first's scan of a state with ``key`` and ``runs``: its
-    children that cost ``ncost`` and pass, f <= ``limit``, as lists of
-    (h, move, key) in move order, the letters' and then each family's.
-    A list is made only when the one before it is used up, so a scan
-    that stops at a goal scores no family past it."""
+def _children(groups, h, key, runs, ncost, limit, over):
+    """The scan of a state with ``key`` and ``runs`` that both engines
+    consume: it yields the children that cost ``ncost`` and pass,
+    f <= ``limit``, as (h, move, key) in move order, the letters first
+    and then each family of ``groups`` (``_family_children``).
+
+    A child is scored only when the scan reaches it: a letter one at a
+    time, a family whole. So a consumer that stops after a child scores
+    nothing past it. The least f of the failing children is folded into
+    the one-cell list ``over``, whose value is also each family's
+    overshoot: a family whose floor fails and is no lower than
+    ``over[0]`` is left out. Deepening passes one cell per pass;
+    best-first, which needs no overshoot, a cell holding 0.
+
+    A letter child has one letter more than its parent, or one less when
+    the letter cancels the parent's first.
+    """
     na, nb, nc, slen = key
     anti = _signed(runs[0][0], -runs[0][1])
-    children = []
     for move in _LETTER_MOVES:
         dna, dnb, dnc = move.ab
         letters = slen - 1 if move.tail == anti else slen + 1  # no seam
         nkey = (na + dna, nb + dnb, nc + dnc, letters)
         value = h(nkey)
-        if ncost + value <= limit:
-            children.append((value, move, nkey))
-    yield children
+        f = ncost + value
+        if f <= limit:
+            yield value, move, nkey
+        elif f < over[0]:
+            over[0] = f
     for fam in groups:
-        yield _family_children(fam, h, key, runs, anti, ncost, limit, 0)[0]
+        passing, f = _family_children(fam, h, key, runs, anti, ncost, limit, over[0])
+        if f < over[0]:
+            over[0] = f
+        yield from passing
 
 
 def best_first(
@@ -469,17 +493,18 @@ def best_first(
     product. A child that passes is built as runs (``words.mul_runs``);
     no Word is made for it.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
-    unbuilt. A letter child has one letter more than its parent, or one
-    less when the letter cancels the parent's first. A family's children
-    are scored together (``_family_children``): they pass exactly below
-    one cutoff letter count, so h is read once for each distinct letter
-    count up to it, which gives every passing child's f, and a family
-    whose floor has f above the limit is left out after one call. The
-    limit is fixed while a node is scanned, until the goal hit that stops
-    the scan, and a family is scored only when the scan reaches it
-    (``_scored``), so the left-out children are exactly ones a full scan
-    would have skipped one by one: the pushes, their order and hence the
-    node count, cost and path are those of a full scan.
+    unbuilt. The children come from the scan both engines share
+    (``_children``), with an overshoot cell holding 0: a letter is
+    scored when the scan reaches it, and a family's children together
+    (``_family_children``): they pass exactly below one cutoff letter
+    count, so h is read once for each distinct letter count up to it,
+    which gives every passing child's f, and a family whose floor has f
+    above the limit is left out after one call. The limit is fixed while
+    a node is scanned, until the goal hit that stops the scan, and the
+    scan scores nothing past the child it stops at, so the left-out
+    children are exactly ones a full scan would have skipped one by one:
+    the pushes, their order and hence the node count, cost and path are
+    those of a full scan.
 
     Goal test. A state is looked up in the goal table each time it
     enters the heap, the root before the loop, but for a child with
@@ -536,6 +561,7 @@ def best_first(
     if gen is not None:
         incumbent, last = 1, (start, gen)
     nodes = 0
+    no_overshoot = [0]
     while heap:
         f, _, runs, cost, key = heappop(heap)
         if incumbent is not None and f >= incumbent:
@@ -554,8 +580,8 @@ def best_first(
         limit = cap if incumbent is None else min(cap, incumbent - 1)
         if limit <= ncost:
             continue  # every child has f >= ncost + 1
-        children = _scored(moves.groups, h, key, runs, ncost, limit)
-        for value, move, nkey in chain.from_iterable(children):
+        children = _children(moves.groups, h, key, runs, ncost, limit, no_overshoot)
+        for value, move, nkey in children:
             nxt = product(move.runs, runs)
             if ncost < best_g.get(nxt, _INF):
                 best_g[nxt] = ncost
@@ -602,9 +628,10 @@ def deepening(
     built, as in ``best_first``; a child with f > bound enters the
     overshoot and is skipped unbuilt, and only a child that passes is
     built, as runs (``words.mul_runs``), and checked against the path,
-    a set of runs. A frame holds its state's runs and key. Nodes, the
-    unit of ``max_nodes``, are the states visited, each checked against
-    the deadline. A visited
+    a set of runs. A frame holds its state's runs and the rest of its
+    child scan (``_children``), which carries the children's keys. Nodes,
+    the unit of ``max_nodes``, are the states visited, each checked
+    against the deadline. A visited
     state is looked up in the goal table first, and a hit ends the
     search: the path so far and the generator the table names. The walk
     keeps its own stack of frames instead of recursing, so a path may be
@@ -628,17 +655,20 @@ def deepening(
     that only adds candidates, each above b, so the bound still grows and
     stays at most c.
 
-    Families. The letters are scored one at a time as the scan reaches
-    them, and a family is scored whole when the scan reaches it, after
-    the subtrees of the moves before it (``_family_children`` with the
-    bound as limit). Its passing children are then tried in move order.
-    Its failing children enter the overshoot through one value, the
-    least f among them, which is all a minimum needs. A family whose
-    floor fails the bound and is no lower than the overshoot so far is
-    left out unscored: each child's f is at least the floor's, so it
-    fails the bound and, as the overshoot only falls during a pass,
-    could not lower it. So the visits, the overshoot and every pass bound
-    are those of a full scan, and with them the node count and the path.
+    The scan. A node's children come from the scan both engines share
+    (``_children``, with the bound as limit and one overshoot cell per
+    pass), which the walk resumes after each child's subtree. The letters
+    are scored one at a time as the scan reaches them, and a family is
+    scored whole when the scan reaches it, after the subtrees of the
+    moves before it (``_family_children``); its passing children are
+    then tried in move order. Its failing children enter the overshoot
+    through one value, the least f among them, which is all a minimum
+    needs. A family whose floor fails the bound and is no lower than the
+    overshoot so far is left out unscored: each child's f is at least
+    the floor's, so it fails the bound and, as the overshoot only falls
+    during a pass, could not lower it. So the visits, the overshoot and
+    every pass bound are those of a full scan, and with them the node
+    count and the path.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
@@ -649,14 +679,11 @@ def deepening(
     root_key = state_key(u)
     bound = h(root_key)
     while bound <= cap:
-        overshoot = _INF
+        over = [_INF]  # the least f above the bound seen in this pass
         path: list[Gen] = []  # the moves from u to the last state reached
         on_path = {u.runs}
-        # one frame per state on the path: the state's runs, its key, the
-        # signed base that cancels its first run, the cost of its
-        # children, the moves not yet tried (letters, or a family's
-        # passing children as (h, move, key)) and the next family to
-        # score, 0 while the letters are tried
+        # one frame per state on the path: its runs and the rest of its
+        # child scan
         frames = []
         runs, key = u.runs, root_key  # the state to visit next
         while runs is not None:
@@ -669,45 +696,24 @@ def deepening(
             if gen is not None:
                 path.append(gen)
                 return Outcome(len(path), path, nodes, len(path))
-            anti = _signed(runs[0][0], -runs[0][1])
-            frames.append([runs, key, anti, len(frames) + 1, iter(_LETTER_MOVES), 0])
+            ncost = len(frames) + 1
+            frames.append((runs, _children(groups, h, key, runs, ncost, bound, over)))
             runs = None
             while runs is None and frames:
-                frame = frames[-1]
-                parent, (na, nb, nc, slen), anti, ncost, untried, i = frame
-                for move in untried:
-                    if i:  # a passing child of family i - 1
-                        _, move, nkey = move
-                    else:  # a letter, scored as in ``best_first``
-                        dna, dnb, dnc = move.ab
-                        letters = slen - 1 if move.tail == anti else slen + 1
-                        nkey = (na + dna, nb + dnb, nc + dnc, letters)
-                        f = ncost + h(nkey)
-                        if f > bound:
-                            if f < overshoot:
-                                overshoot = f
-                            continue
+                parent, children = frames[-1]
+                for _, move, nkey in children:
                     nxt = product(move.runs, parent)
                     if nxt not in on_path:
                         on_path.add(nxt)
                         path.append(move.gen)
                         runs, key = nxt, nkey
                         break
-                else:
-                    if i < len(groups):  # the scan reaches family i
-                        passing, over = _family_children(
-                            groups[i], h, frame[1], parent, anti, ncost,
-                            bound, overshoot,
-                        )
-                        if over < overshoot:
-                            overshoot = over
-                        frame[4:] = iter(passing), i + 1
-                    else:  # every child tried: back up one step
-                        frames.pop()
-                        on_path.discard(parent)
-                        del path[-1:]  # the move into parent; the root has none
-        if overshoot is _INF:
+                else:  # every child tried: back up one step
+                    frames.pop()
+                    on_path.discard(parent)
+                    del path[-1:]  # the move into parent; the root has none
+        if over[0] is _INF:
             # Whole graph below the cap explored without reaching the target.
             return Outcome(None, None, nodes, cap + 1)
-        bound = int(overshoot)
+        bound = int(over[0])
     return Outcome(None, None, nodes, bound)

@@ -287,10 +287,12 @@ class TestConfig:
             ("base", True, "base must be an integer, got True"),
             ("max_nodes", 777.5, "max_nodes must be an integer, got 777.5"),
             ("max_ms", True, "max_ms must be a number, got True"),
+            ("max_ms", [1], "max_ms must be a number, got [1]"),
+            ("max_ms", {}, "max_ms must be a number, got {}"),
         ],
         ids=[
             "base-float", "base-whole-float", "base-bool", "max_nodes-float",
-            "max_ms-bool",
+            "max_ms-bool", "max_ms-list", "max_ms-object",
         ],
     )
     def test_json_config_wrong_type_exit_2(

@@ -4,8 +4,9 @@ soundness, dominance over the earlier bound and bounded cost of the
 heuristic, and its one bounded memo per move set, shared by searches
 and threads; the family floor and the
 monotonicity that the engines' family scoring rests on, and that step
-against a per-child scan; differential tests of exact lengths, through
-xlength and of the two engines called directly; the deadlines of the
+and the child scan both engines share against a per-child scan;
+differential tests of exact lengths, through xlength and of the two
+engines called directly; the deadlines of the
 listing and of both engines; and both engines against
 full-scan references: best-first's partial expansion against the
 full-expansion loop it replaced, deepening against a plain recursive
@@ -414,8 +415,9 @@ class TestFamilyFloor:
 
 
 class TestFamilyChildren:
-    """The family-scoring step of both engines against a per-child scan
-    that builds every child and calls h on it."""
+    """The family-scoring step of both engines, and the child scan they
+    share, against a per-child scan that builds every child and calls h
+    on it."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -454,6 +456,57 @@ class TestFamilyChildren:
             )
             left_out = ([], float("inf"))
             assert skipped == (left_out if floor_f > limit else (passing, over))
+
+        # the shared scan, letters included, at one limit for the node
+        inf, limit = float("inf"), ncost + h(key) + slack
+        children = [(move, state_key(Word(move.runs) * r)) for move in moves.moves]
+        scored = [(h(child), move, child) for move, child in children]
+        passing = [c for c in scored if ncost + c[0] <= limit]
+        least = min((ncost + c[0] for c in scored if ncost + c[0] > limit), default=inf)
+        # Each group of moves, a letter or a family, has children of one
+        # abelianisation, and no two groups share one, so the
+        # abelianisation of an h call names the group it scores.
+        groups = [(move,) for move in search._LETTER_MOVES] + [
+            fam.moves for fam in moves.groups
+        ]
+        abs_of = [state_key(Word(group[0].runs) * r)[:3] for group in groups]
+        assert len(set(abs_of)) == len(groups)
+        group_of = {id(move): g for g, group in enumerate(groups) for move in group}
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return h(key)
+
+        def scan(over):
+            return search._children(
+                moves.groups, counted, key, r.runs, ncost, limit, over
+            )
+
+        # A family left out has every child's f at least the overshoot it
+        # was left out at, so the overshoot ends where a full scan's does:
+        # at the least failing f, or at its start if that is lower. Start
+        # 0 is best-first's, start inf a fresh deepening pass's.
+        for start in (inf, limit + 1, 0):
+            over = [start]
+            calls.clear()
+            assert list(scan(over)) == passing
+            assert over[0] == min(start, least)
+        # with start 0 a family whose floor fails is scored by that one call
+        for fam, ab in zip(moves.groups, abs_of[len(search._LETTER_MOVES) :]):
+            if ncost + h(fam.floor(key)) > limit:
+                assert [c for c in calls if c[:3] == ab] == [fam.floor(key)]
+
+        # A consumer that stops after the k-th child makes no h call for a
+        # group past the child's: stop at each letter child and at each
+        # family's last passing child, where the next group would be scored.
+        n = len(passing)
+        for k in range(1, n + 1):
+            g = group_of[id(passing[k - 1][1])]
+            if k == n or g != group_of[id(passing[k][1])]:
+                calls.clear()
+                assert len(list(itertools.islice(scan([inf]), k))) == k
+                assert {c[:3] for c in calls} <= set(abs_of[: g + 1])
 
 
 @lru_cache(maxsize=None)
