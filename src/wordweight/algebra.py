@@ -5,8 +5,11 @@ norm and pairing here is a finite sum of exact rationals times integer
 powers of e. Arithmetic keeps that form: scalars are (rational, integer
 e-exponent) pairs, general quantities are formal term lists. Equalities
 are decided structurally (e is transcendental, so equal values have equal
-term lists); inequalities fall back to interval evaluation at increasing
-precision, which always terminates on distinct values.
+term lists). The sign of a sum, and so every inequality, is decided
+exactly: first by terms of one sign, then by a dominant-term test (the
+term at the largest exponent outweighs a bound on all the others, see
+``ExpSum.sign``), and only what that leaves open by interval evaluation at
+increasing precision, which always terminates on distinct values.
 
 mpmath is imported inside the three functions that evaluate floats or
 intervals, so that importing the library does not load it (about 4 MB of
@@ -86,8 +89,9 @@ def _refuse_inexact(value) -> None:
 def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
     """Sign of a nonempty sum of m*e^E terms with mixed signs.
 
-    Interval evaluation at doubling precision; a nonzero such sum always
-    resolves eventually because e is transcendental.
+    Interval evaluation at doubling precision. Each interval encloses the
+    true sum, so one wholly above or below zero proves the sign; a nonzero
+    such sum always resolves eventually because e is transcendental.
     """
     import mpmath
 
@@ -112,6 +116,9 @@ def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
     finally:
         iv.prec = saved
     raise ArithmeticError("interval sign did not resolve; terms may be equal")
+
+
+_TWO_FIFTHS = Fraction(2, 5)  # below 1/e, so (2/5)^d bounds e^-d for d >= 0
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,33 @@ class ExpSum:
         return not self.terms
 
     def sign(self) -> int:
+        """Sign of the sum, decided exactly.
+
+        A sum whose terms share one sign has that sign. Otherwise the
+        first term (E0, m0), which ``from_terms`` puts at the largest
+        exponent, decides when
+
+            |m0| > sum over the other terms of |m_i| (2/5)^min(E0 - E_i, 64).
+
+        Soundness: with every gap d_i = E0 - E_i >= 0, e > 5/2 gives
+        e^-d <= (2/5)^d <= (2/5)^min(d, 64), so the other terms together
+        are smaller in size than |m0| e^E0 and cannot change its sign. A
+        gap of 0 counts at full size, so repeated exponents in a hand-built
+        sum stay sound; a negative gap (a hand-built sum out of order) skips
+        the test. The cap keeps a gap of 10^5 from building huge powers.
+        What the test leaves open goes to ``_interval_sign``.
+        """
         if not self.terms:
             return 0
         if all(m > 0 for _, m in self.terms):
             return 1
         if all(m < 0 for _, m in self.terms):
             return -1
+        (top, m0), rest = self.terms[0], self.terms[1:]
+        if all(e <= top for e, _ in rest):
+            tail = sum(abs(m) * _TWO_FIFTHS ** min(top - e, 64) for e, m in rest)
+            if abs(m0) > tail:
+                return 1 if m0 > 0 else -1
         return _interval_sign(self.terms)
 
     def __abs__(self) -> "ExpSum":

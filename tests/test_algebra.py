@@ -3,7 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from wordweight import algebra
 from wordweight.algebra import (
     ExpScalar,
     ExpSum,
@@ -11,6 +13,7 @@ from wordweight.algebra import (
     ONE,
     WeightProvider,
     WeightedVector,
+    _interval_sign,
     block_word,
     chain_prefixes,
     chain_product,
@@ -105,6 +108,70 @@ class TestExpSum:
         # e^1 - 2 > 0, e^1 - 3 < 0
         assert ExpSum.from_terms([(1, Fraction(1)), (0, Fraction(-2))]).sign() == 1
         assert ExpSum.from_terms([(1, Fraction(1)), (0, Fraction(-3))]).sign() == -1
+
+    @pytest.fixture
+    def interval_calls(self, monkeypatch):
+        calls = []
+
+        def counting(terms):
+            calls.append(terms)
+            return _interval_sign(terms)
+
+        monkeypatch.setattr(algebra, "_interval_sign", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "terms, sign, intervals",
+        [
+            # 1 > 3 * 2/5 fails, though e - 3 < 0: only intervals can tell
+            ([(1, 1), (0, -3)], -1, 1),
+            # e - 68/25 < 0, though 1 > 68/25 * r for any ratio r < 1/2.72
+            ([(1, 1), (0, Fraction(-68, 25))], -1, 1),
+            # 1 > 2 * 2/5: e - 2 > 0 without intervals
+            ([(1, 1), (0, -2)], 1, 0),
+            # 1/2 > 1/2 * (2/5)^2
+            ([(0, Fraction(-1, 2)), (-2, Fraction(1, 2))], -1, 0),
+            # a gap of 10^5 is capped at 64
+            ([(10**5, 1), (0, -(10**20))], 1, 0),
+            ([(10**5, 1), (0, -(5**64))], 1, 1),
+        ],
+        ids=["e-3", "e-2.72", "e-2", "half-gap-2", "capped-gap", "capped-gap-too-heavy"],
+    )
+    def test_dominant_term_decides_before_intervals(
+        self, interval_calls, terms, sign, intervals
+    ):
+        s = ExpSum.from_terms((e, Fraction(m)) for e, m in terms)
+        assert s.sign() == sign
+        assert len(interval_calls) == intervals
+
+    def test_hand_built_sums_stay_sound(self, interval_calls):
+        # repeated exponents count at full size: 1 - 1 + e^-1 > 0
+        repeated = ExpSum(((0, Fraction(1)), (0, Fraction(-1)), (-1, Fraction(1))))
+        assert repeated.sign() == 1
+        # out of order, the first term is not the largest: 13/5 - e < 0,
+        # though 13/5 > (2/5)^-1
+        unsorted = ExpSum(((0, Fraction(13, 5)), (1, Fraction(-1))))
+        assert unsorted.sign() == -1
+        assert len(interval_calls) == 2
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-200, 200) | st.integers(-(10**5), 10**5),
+                st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3),
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    @example([(1, Fraction(1)), (0, Fraction(-68, 25))])
+    @example([(3, Fraction(-1)), (0, Fraction(201, 10))])
+    @settings(max_examples=200, deadline=None)
+    def test_sign_agrees_with_intervals(self, terms):
+        s = ExpSum.from_terms(terms)
+        assume(len(s.terms) >= 2)
+        assume(min(m for _, m in s.terms) < 0 < max(m for _, m in s.terms))
+        assert s.sign() == _interval_sign(s.terms)
 
     def test_abs_flips_negative_sums(self):
         s = ExpSum.from_terms([(0, Fraction(-2)), (-1, Fraction(1))])

@@ -2,8 +2,9 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wordweight.cli import build_parser, main
+from wordweight.cli import _write_json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -247,18 +248,40 @@ class TestConfig:
             ["--max-nodes", "-5"],
             ["--max-ms", "0"],
             ["--max-ms", "-1"],
+            ["--max-ms", "inf"],
+            ["--max-ms=-inf"],
+            ["--max-ms", "nan"],
         ],
     )
     def test_impossible_budget_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "xlen", *flags, "a^4 b^4")
         assert code == 2 and not out and "error" in err
 
-    @pytest.mark.parametrize("line", ["max_nodes=0", "max_ms=0"])
+    # an infinite max_ms would reach the report as Infinity, which is not JSON
+    @pytest.mark.parametrize(
+        "line",
+        ["max_nodes=0", "max_ms=0", "max_ms=inf", "max_ms=1e999", '{"max_ms": 1e999}'],
+    )
     def test_impossible_budget_in_config_exit_2(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         code, out, err = run(capsys, "xlen", "--config", str(cfg), "a^4 b^4")
         assert code == 2 and not out and "error" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_ms=abc", "max_ms must be a number, got 'abc'"),
+            ("max_ms=inf", "max_ms must be a finite number > 0, got inf"),
+        ],
+        ids=["not-a-number", "inf"],
+    )
+    def test_bad_max_ms_in_config_names_the_key(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "xlen", "--config", str(cfg), "a^4 b^4")
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -333,3 +356,42 @@ class TestConfig:
         header, row = out.read_text().strip().splitlines()
         assert "witness_count" in header
         assert "126" in row
+
+
+def _written(obj) -> str:
+    out = []
+    _write_json(obj, out, "")
+    return "".join(out)
+
+
+json_strings = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_indented_dumps(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{1: "x"}, {"a": {None: 1}}, [{("k",): 1}], object(), {"a": [object()]}, {1, 2}],
+        ids=["int-key", "none-key", "tuple-key", "object", "nested-object", "set"],
+    )
+    def test_refuses_what_it_cannot_write(self, obj):
+        with pytest.raises(TypeError):
+            _written(obj)

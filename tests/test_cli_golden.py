@@ -2,7 +2,9 @@
 
 Each case runs ``cli.main`` and compares the exit code and the report,
 with the ``timestamp`` and ``ms`` fields removed, against a checked-in
-file under ``tests/golden/``. Regenerate the files (only when a report
+file under ``tests/golden/``; a JSON report must also be, as written and
+with its timing fields, exactly what ``json.dumps(report, indent=2,
+sort_keys=True)`` gives. Regenerate the files (only when a report
 change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -74,26 +76,32 @@ def _strip_csv(text: str) -> str:
     return buf.getvalue()
 
 
-def render(argv: list[str]) -> tuple[str, str]:
-    """(golden file name, exit code line plus the report without timing)."""
+def render(argv: list[str]) -> tuple[str, str, str]:
+    """(golden file name suffix, exit code line plus the report without
+    timing, the report as written)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
+    raw = out.getvalue()
     if "csv" in argv:
-        return ".csv", f"exit {code}\n" + _strip_csv(out.getvalue())
-    return ".json", f"exit {code}\n" + _strip_json(out.getvalue())
+        return ".csv", f"exit {code}\n" + _strip_csv(raw), raw
+    return ".json", f"exit {code}\n" + _strip_json(raw), raw
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
-    suffix, text = render(CASES[name])
+    suffix, text, raw = render(CASES[name])
     expected = (GOLDEN / (name + suffix)).read_bytes().decode("utf-8")
     assert text == expected
+    if suffix == ".json":
+        # the text as written, timing fields included, is already in the
+        # form json.dumps gives it
+        assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        suffix, text = render(argv)
+        suffix, text, _ = render(argv)
         (GOLDEN / (name + suffix)).write_bytes(text.encode("utf-8"))
         print(f"wrote {name}{suffix}")
