@@ -27,13 +27,13 @@ from .errors import PreconditionViolated, UnknownLength
 from .genset import GenSetParams, _check_index, normalize_conjugator, expand_generator
 from .lengths import (
     SearchBudget,
-    _blocks_word,
+    _blocks_length,
     _check_chain,
+    _family_blocks,
     _require_canonical,
-    family_length,
     xlength,
 )
-from .words import IDENTITY, Word
+from .words import IDENTITY, Word, mul_runs
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class ExpScalar:
 
     def __post_init__(self):
         if not isinstance(self.mantissa, Fraction):
-            _refuse_inexact(self.mantissa)
-            object.__setattr__(self, "mantissa", Fraction(self.mantissa))
+            object.__setattr__(self, "mantissa", _exact(self.mantissa))
         if type(self.exponent) is not int:
             raise TypeError(f"exponent {self.exponent!r} is not an int")
         if self.mantissa == 0 and self.exponent != 0:
@@ -84,6 +83,12 @@ ZERO = ExpScalar(Fraction(0))
 def _refuse_inexact(value) -> None:
     if isinstance(value, (bool, float)):
         raise TypeError(f"{value!r} is not exact: use an int or a Fraction")
+
+
+def _exact(value) -> Fraction:
+    """Fraction(value), but a float or a bool raises TypeError."""
+    _refuse_inexact(value)
+    return Fraction(value)
 
 
 def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
@@ -132,13 +137,22 @@ class ExpSum:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Fraction]]) -> "ExpSum":
+        """Merge repeated exponents, drop zeros, sort by falling exponent.
+        An int mantissa becomes a Fraction; a float or a bool raises
+        TypeError, as in ``ExpScalar``."""
         acc: dict[int, Fraction] = {}
         for exponent, mantissa in terms:
-            acc[exponent] = acc.get(exponent, Fraction(0)) + mantissa
-        cleaned = tuple(
-            (e, m) for e, m in sorted(acc.items(), reverse=True) if m != 0
+            if exponent in acc:
+                acc[exponent] += mantissa
+            else:
+                acc[exponent] = mantissa
+        return cls(
+            tuple(
+                (e, m if type(m) is Fraction else _exact(m))
+                for e, m in sorted(acc.items(), reverse=True)
+                if m != 0
+            )
         )
-        return cls(cleaned)
 
     @classmethod
     def of(cls, scalar: ExpScalar) -> "ExpSum":
@@ -146,7 +160,21 @@ class ExpSum:
             return cls(())
         return cls(((scalar.exponent, scalar.mantissa),))
 
+    def is_normal(self) -> bool:
+        """True when the terms are as ``from_terms`` leaves them: exponents
+        strictly falling, every mantissa a nonzero Fraction."""
+        prev = None
+        for e, m in self.terms:
+            if type(m) is not Fraction or not m or (prev is not None and e >= prev):
+                return False
+            prev = e
+        return True
+
     def __add__(self, other: "ExpSum") -> "ExpSum":
+        if not self.terms and other.is_normal():
+            return other
+        if not other.terms and self.is_normal():
+            return self
         return ExpSum.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "ExpSum":
@@ -288,12 +316,12 @@ class WeightProvider:
         if cached is not None:
             return cached
         if self.mode == "family":
-            fam = family_length(u, self.params)
-            if fam is None:
+            scan = _family_blocks(u, self.params)
+            if scan is None:
                 raise UnknownLength(
                     f"family mode cannot certify {str(u) or '1'!r}", words=[u]
                 )
-            value = fam[0]
+            value = _blocks_length(*scan, self.params)
         else:
             result = xlength(u, self.params, budget=self.budget, mode=self.mode)
             if not result.exact:
@@ -402,20 +430,22 @@ def vector_from_literal(
     provider: WeightProvider, items: list[dict]
 ) -> WeightedVector:
     """Parse the wire form; repeated words accumulate. The mantissa is a
-    "p/q" string or an int and ``exp`` an int: ValueError names the item
-    otherwise, since a float or bool would be read as a different number."""
+    "p/q" string with q != 0 or an int and ``exp`` an int: ValueError names
+    the item otherwise, since a float or bool would be read as a different
+    number and a string exponent is not one."""
     entries: dict[Word, ExpSum] = {}
     for i, item in enumerate(items):
         where = f"item {i} ({item['word']!r})"
-        if isinstance(item["exp"], (bool, float)):
-            raise ValueError(f"{where}: exp must be an integer, got {item['exp']!r}")
-        if isinstance(item["mantissa"], (bool, float)):
+        exponent, raw = item["exp"], item["mantissa"]
+        if type(exponent) is not int:
+            raise ValueError(f"{where}: exp must be an integer, got {exponent!r}")
+        try:
+            mantissa = _exact(raw)
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(
-                f"{where}: mantissa must be a 'p/q' string, got {item['mantissa']!r}"
-            )
+                f"{where}: mantissa must be a 'p/q' string, got {raw!r}"
+            ) from None
         w = Word.parse(item["word"])
-        mantissa = Fraction(item["mantissa"])
-        exponent = int(item["exp"])
         term = ExpSum.of(ExpScalar(mantissa, exponent))
         entries[w] = entries.get(w, ExpSum()) + term
     return WeightedVector(provider, entries)
@@ -434,6 +464,11 @@ def convolve(f: WeightedVector, g: WeightedVector) -> WeightedVector:
 
 
 def _expsum_product(x: ExpSum, y: ExpSum) -> ExpSum:
+    if len(x.terms) == 1 and len(y.terms) == 1:
+        (ex, mx), (ey, my) = x.terms[0], y.terms[0]
+        m = mx * my
+        if type(m) is Fraction and m:
+            return ExpSum(((ex + ey, m),))
     return ExpSum.from_terms(
         (ex + ey, mx * my) for ex, mx in x.terms for ey, my in y.terms
     )
@@ -442,7 +477,7 @@ def _expsum_product(x: ExpSum, y: ExpSum) -> ExpSum:
 def _weighted_sum(f: WeightedVector, signed: bool, what: str) -> ExpSum:
     """Sum of coefficient * e^|word| over the support, with |coefficient|
     unless ``signed``; UnknownLength names every word without a length."""
-    total = ExpSum()
+    terms = []
     unknown = []
     for w in f.support:
         try:
@@ -451,13 +486,13 @@ def _weighted_sum(f: WeightedVector, signed: bool, what: str) -> ExpSum:
             unknown.append(w)
             continue
         coeff = f.entries[w]
-        total = total + (coeff if signed else abs(coeff)).shifted(length)
+        terms += (coeff if signed else abs(coeff)).shifted(length).terms
     if unknown:
         raise UnknownLength(
             f"{what} needs lengths for: " + ", ".join(str(w) or "1" for w in unknown),
             words=unknown,
         )
-    return total
+    return ExpSum.from_terms(terms)
 
 
 def omega_norm(f: WeightedVector) -> ExpSum:
@@ -484,7 +519,8 @@ def min_tail_index(j: int, u: Word, params: GenSetParams) -> int:
 
 def block_word(n: int, params: GenSetParams) -> Word:
     """The block a^(B^(2n)) b^(B^(2n))."""
-    return _blocks_word(0, [(n, 0)], params)
+    outer = params.outer_exp(n)
+    return Word((("a", outer), ("b", outer)))
 
 
 def sandwich_decay_bound(
@@ -500,6 +536,7 @@ def sandwich_decay_bound(
     product word factors as (a^(B^2j) b^(B^2j - B^(2k-1)) u) times the
     index-k generator with conjugator u^-1, giving the numerator length
     at most B^(2k-1) + |u| + 1, which cancels against the normalizations.
+    Both sides are multiplied out as reduced run tuples (``mul_runs``).
     """
     params = provider.params
     _require_canonical(params)
@@ -510,14 +547,13 @@ def sandwich_decay_bound(
             f"tail index {k} below N(j={j}, u) = {n_min}"
         )
     outer_j = params.outer_exp(j)
-    rearranged = (
-        Word((("a", outer_j),))
-        * Word((("b", outer_j - params.inner_exp(k)),))
-        * u
-    )
-    gen = normalize_conjugator(~u, k, params)
-    target = block_word(j, params) * u * block_word(k, params)
-    if rearranged * expand_generator(gen, params) != target:
+    # b's exponent is below 0, as B^(2k-1) > B^(2j) once k > j + 1
+    head = (("a", outer_j), ("b", outer_j - params.inner_exp(k)))
+    expansion = expand_generator(normalize_conjugator(~u, k, params), params)
+    witness = mul_runs(mul_runs(head, u.runs), expansion.runs)
+    blocks = block_word(j, params).runs, block_word(k, params).runs
+    target = mul_runs(mul_runs(blocks[0], u.runs), blocks[1])
+    if witness != target:
         raise ArithmeticError("rearranged witness failed to reproduce the product")
     return n_min, -1 - params.inner_exp(j)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import BudgetExhausted, ConjugatorTooLong, IndexTooSmall
-from .words import HOM_AB, LETTERS, Letter, Word, hom_value
+from .words import HOM_AB, LETTERS, Letter, Word, _merge_runs, hom_value
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,31 @@ def normalize_conjugator(v: Word, j: int, params: GenSetParams) -> BigGen:
 
 
 def expand_generator(gen: Gen, params: GenSetParams) -> Word:
-    """The reduced word of a generator (one letter, or the full expansion)."""
+    """The reduced word of a generator (one letter, or the full expansion).
+
+    The expansion is the runs of v, b^(B^(2j-1)), v^-1, a^(B^2j) b^(B^2j)
+    written one after another and reduced in one pass of ``_merge_runs``.
+    That pass keeps a stack that is always the reduced product of the runs
+    read so far: a run on another base than the top is pushed, one on the
+    top's base merges with it or cancels it whole, and the run below the
+    top is on another base, so the stack stays reduced. A run never reaches
+    past the top, and the reduced word of a group element is unique, so
+    the one pass gives the reduced expansion whatever v is, a hand-built
+    conjugator ending in b^(+-1) included.
+    """
     if isinstance(gen, Letter):
         return gen.word()
-    w = gen.conj
     j = gen.index
-    inner = Word((("b", params.inner_exp(j)),))
-    tail = Word((("a", params.outer_exp(j)), ("b", params.outer_exp(j))))
-    return w * inner * ~w * tail
+    conj = gen.conj.runs
+    outer = params.outer_exp(j)
+    return Word(
+        _merge_runs(
+            conj
+            + (("b", params.inner_exp(j)),)
+            + tuple((base, -exp) for base, exp in reversed(conj))
+            + (("a", outer), ("b", outer))
+        )
+    )
 
 
 def theta_value(gen_index: int, params: GenSetParams) -> int:

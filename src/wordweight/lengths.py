@@ -436,26 +436,23 @@ def shape_witness(u: Word, params: GenSetParams) -> Factorization | None:
     return None if scan is None else _blocks_factorization(*scan, params)
 
 
-def family_length(
+def _family_blocks(
     u: Word, params: GenSetParams
-) -> tuple[int, Factorization] | None:
-    """Exact length from the proven closed forms, or None.
+) -> tuple[int, list[tuple[int, int]]] | None:
+    """u as (k0, blocks) of c^(k0) [a^(B^2n) b^(B^2n) c^(k)]* when it is on
+    the whitelist of proven closed forms, else None.
 
     Whitelist (anything else is refused rather than estimated):
-      * nonnegative powers of c, any parameters;
+      * nonnegative powers of c, any parameters (no blocks);
       * c^(k0) a^(5^2n) b^(5^2n) c^(k1) with n >= 2, k0, k1 >= 0, at the
         canonical parameters (base 5, jmin 2) only;
       * chains of such blocks with every separator >= 1 satisfying the
         separator constraint, same parameters.
-
-    Each has length ``_blocks_length``: k0 + sum(5^(2n-1) + 1 + k) over
-    its blocks (n, k).
     """
     if u.is_identity():
-        return 0, Factorization()
+        return 0, []
     if len(u.runs) == 1 and u.runs[0][0] == "c" and u.runs[0][1] > 0:
-        k = u.runs[0][1]
-        return k, Factorization(((C_POS, k),))
+        return u.runs[0][1], []
     try:
         _require_canonical(params)
     except PreconditionViolated:
@@ -471,7 +468,19 @@ def family_length(
             _check_chain(blocks, params)
         except ValueError:  # a separator below 1, or the separator rule
             return None
-    return _blocks_length(k0, blocks, params), _blocks_factorization(k0, blocks, params)
+    return scan
+
+
+def family_length(
+    u: Word, params: GenSetParams
+) -> tuple[int, Factorization] | None:
+    """Exact length from the proven closed forms with its witness, or None
+    off the whitelist (``_family_blocks``). The length is ``_blocks_length``:
+    k0 + sum(5^(2n-1) + 1 + k) over the blocks (n, k)."""
+    scan = _family_blocks(u, params)
+    if scan is None:
+        return None
+    return _blocks_length(*scan, params), _blocks_factorization(*scan, params)
 
 
 def single_biggen_cancellation(

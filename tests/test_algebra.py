@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from wordweight import algebra
+from wordweight import algebra, lengths
 from wordweight.algebra import (
     ExpScalar,
     ExpSum,
@@ -35,7 +35,7 @@ from wordweight.errors import (
     UnknownLength,
 )
 from wordweight.genset import GenSetParams
-from wordweight.lengths import chain_word
+from wordweight.lengths import chain_word, family_length
 from wordweight.words import IDENTITY, LETTERS, Word
 
 W = Word.parse
@@ -190,6 +190,82 @@ class TestExpSum:
         assert abs(s.to_float() - expected) / expected < 1e-12
 
 
+def hand_built(sign=0):
+    """ExpSum terms as a caller may write them: out of order, repeated
+    exponents, terms that cancel to zero, int mantissas. With ``sign``
+    +-1, every mantissa is nonzero and of that sign."""
+    mantissa = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+    if sign:
+        mantissa = mantissa.filter(bool).map(lambda m: sign * abs(m))
+    terms = st.lists(st.tuples(st.integers(-3, 3), mantissa), max_size=4)
+    return terms.map(lambda t: ExpSum(tuple(t)))
+
+
+def all_fractions(s: ExpSum) -> bool:
+    return all(type(m) is Fraction for _, m in s.terms)
+
+
+def folded_sum(f: WeightedVector, signed: bool) -> ExpSum:
+    """``_weighted_sum`` by the general route: one ``from_terms`` a word."""
+    total = ExpSum()
+    for w in f.support:
+        coeff = f.entries[w] if signed else abs(f.entries[w])
+        total = ExpSum.from_terms(total.terms + coeff.shifted(f.provider.length(w)).terms)
+    return total
+
+
+class TestExpSumShortcuts:
+    """The one-term and empty-side shortcuts give what ``from_terms`` gives."""
+
+    @given(hand_built(), hand_built())
+    @example(ExpSum(), ExpSum(((1, Fraction(1)), (2, Fraction(1)))))
+    @example(ExpSum(((0, 2),)), ExpSum())
+    @example(ExpSum(((0, Fraction(0)),)), ExpSum())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_and_product(self, x, y):
+        for got, general in [
+            (x + y, ExpSum.from_terms(x.terms + y.terms)),
+            (
+                algebra._expsum_product(x, y),
+                ExpSum.from_terms(
+                    (ex + ey, mx * my) for ex, mx in x.terms for ey, my in y.terms
+                ),
+            ),
+        ]:
+            assert got.terms == general.terms
+            assert all_fractions(got)
+            assert got.is_normal()
+
+    def test_is_normal(self):
+        assert ExpSum().is_normal()
+        assert ExpSum.from_terms([(0, 1), (2, Fraction(1, 2))]).is_normal()
+        assert not ExpSum(((0, 1),)).is_normal()
+        assert not ExpSum(((0, Fraction(0)),)).is_normal()
+        assert not ExpSum(((0, Fraction(1)), (0, Fraction(1)))).is_normal()
+        assert not ExpSum(((0, Fraction(1)), (1, Fraction(1)))).is_normal()
+
+    def test_from_terms_refuses_inexact_mantissas(self):
+        for value in (0.5, True):
+            with pytest.raises(TypeError, match="is not exact"):
+                ExpSum.from_terms([(0, value)])
+
+    @given(
+        st.lists(hand_built(), min_size=1, max_size=4),
+        # |coefficient| needs a sign, so the norm takes sums of one sign
+        st.lists(st.sampled_from([-1, 1]).flatmap(hand_built), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_sums(self, fam5, mixed, one_sign):
+        for coeffs, weighted_sum, signed in [
+            (mixed, pair_omega, True),
+            (one_sign, omega_norm, False),
+        ]:
+            f = WeightedVector(fam5, {W(f"c^{k + 1}"): c for k, c in enumerate(coeffs)})
+            got = weighted_sum(f)
+            assert got.terms == folded_sum(f, signed).terms
+            assert all_fractions(got)
+
+
 class TestProvider:
     def test_family_c_power(self, fam5):
         assert xweight(W("c^7"), fam5) == 7
@@ -204,6 +280,42 @@ class TestProvider:
 
     def test_exact_mode_small_base(self, exact2):
         assert xweight(W("a^4 b^4"), exact2) == 3
+
+    def test_family_mode_builds_no_witness(self, monkeypatch):
+        whitelisted = [
+            IDENTITY,
+            W("c^7"),
+            W("c^3 a^625 b^625"),
+            W("a^625 b^625 c^4"),
+            W("c^2 a^15625 b^15625 c^9"),
+            chain_word([(2, 1876), (2, 1)], P5),
+            chain_word([(3, 1876), (2, 1)], P5),
+        ]
+        refused = [
+            W("c^-3"),
+            W("a^25 b^25"),  # index 1, below jmin
+            W("a^625 b^624"),
+            W("c a^625 b^625 c^1876 a^625 b^625"),  # a chain led by a c-power
+            chain_word([(2, 1875), (2, 1)], P5),  # separator rule
+            W("a^625 b^625 c^-1"),
+        ]
+        expected = {u: family_length(u, P5) for u in whitelisted + refused}
+        assert [expected[u] is None for u in whitelisted + refused] == (
+            [False] * len(whitelisted) + [True] * len(refused)
+        )
+
+        def no_witness(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(lengths, "_blocks_factorization", no_witness)
+        with pytest.raises(AssertionError, match="a witness was built"):
+            family_length(W("a^625 b^625"), P5)
+        provider = WeightProvider(P5, mode="family")
+        for u in whitelisted:
+            assert provider.length(u) == expected[u][0]
+        for u in refused:
+            with pytest.raises(UnknownLength):
+                provider.length(u)
 
     def test_bracket_mode(self):
         prov = WeightProvider(P2, mode="bracket")
@@ -349,6 +461,12 @@ class TestVectorLiteral:
             ("exp", 1.5, "item 1 ('c'): exp must be an integer, got 1.5"),
             ("exp", True, "item 1 ('c'): exp must be an integer, got True"),
             ("mantissa", 0.1, "item 1 ('c'): mantissa must be a 'p/q' string, got 0.1"),
+            # int() would read "2" as 2 and refuse "1.5" without naming the item
+            ("exp", "2", "item 1 ('c'): exp must be an integer, got '2'"),
+            ("exp", "1.5", "item 1 ('c'): exp must be an integer, got '1.5'"),
+            # Fraction() raises ZeroDivisionError and a bare ValueError here
+            ("mantissa", "1/0", "item 1 ('c'): mantissa must be a 'p/q' string, got '1/0'"),
+            ("mantissa", "abc", "item 1 ('c'): mantissa must be a 'p/q' string, got 'abc'"),
         ],
     )
     def test_inexact_fields_are_refused(self, fam5, field, value, message):

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wordweight.errors import BudgetExhausted, ConjugatorTooLong, IndexTooSmall
 from wordweight.genset import (
@@ -35,6 +36,24 @@ def raw_expansion(v: Word, j: int, params: GenSetParams) -> Word:
         * W(f"a^{params.outer_exp(j)}")
         * W(f"b^{params.outer_exp(j)}")
     )
+
+
+P3 = GenSetParams(base=3, jmin=1)
+DIFF_PARAMS = [P2, P3, P5]
+
+
+@st.composite
+def conjugated(draw):
+    """(params, j, v): j is jmin or jmin + 1 and v a reduced conjugator
+    within the index's bound, often led by a^(+-k) so that the a-runs of
+    v^-1 and the tail merge, and possibly ending in b^(+-1)."""
+    params = draw(st.sampled_from(DIFF_PARAMS))
+    j = params.jmin + draw(st.integers(0, 1))
+    bound = params.conjugator_bound(j)
+    lead = draw(st.integers(-bound, bound))
+    letters = draw(st.lists(st.sampled_from(LETTERS), max_size=min(bound, 40)))
+    v = Word.from_runs([("a", lead)] + [(l.base, l.sign) for l in letters])
+    return params, j, v.split_at(min(bound, v.s_length))[0]
 
 
 def all_reduced_words(max_len: int):
@@ -150,6 +169,27 @@ class TestExpansion:
     def test_letter_gen(self):
         assert expand_generator(LETTERS[1], P5) == W("a^-1")
 
+    @pytest.mark.parametrize("params", DIFF_PARAMS, ids=str)
+    def test_letter_gens_are_their_letters(self, params):
+        for letter in LETTERS:
+            assert expand_generator(letter, params) == letter.word()
+
+    @given(conjugated())
+    @example((P2, 1, IDENTITY))
+    @example((P5, 3, IDENTITY))
+    @example((P5, 2, W("a^7 c")))
+    @example((P3, 2, W("a^-9")))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_defining_product(self, case):
+        # The reference is the definition, four Word products and an
+        # inverse; the expansion is built from one run sequence.
+        params, j, v = case
+        expected = raw_expansion(v, j, params)
+        normal = expand_generator(normalize_conjugator(v, j, params), params)
+        hand_built = expand_generator(BigGen(v, j), params)
+        assert normal == hand_built == expected
+        assert Word.from_runs(normal.runs).runs == normal.runs  # reduced
+
     def test_expansion_length_formula(self):
         # Writing the normal-form conjugator as a^k w0 (k >= 0 maximal,
         # w0 not starting with a positive a-run), the expansion reduces to
@@ -193,11 +233,12 @@ class TestEnumeration:
         assert len(oracle) == 25
 
     def test_pairwise_distinct_and_deterministic(self):
-        a = list(enumerate_generators(P2, 1))
-        b = list(enumerate_generators(P2, 1))
-        assert a == b
-        expansions = [expand_generator(g, P2) for g in a]
-        assert len(set(expansions)) == len(expansions)
+        for j in (1, 2):
+            a = list(enumerate_generators(P2, j))
+            b = list(enumerate_generators(P2, j))
+            assert a == b
+            expansions = [expand_generator(g, P2) for g in a]
+            assert len(set(expansions)) == len(expansions) == family_size(P2, j)
 
     def test_length_lex_order_prefix(self):
         gens = list(itertools.islice(enumerate_generators(P2, 1), 5))
