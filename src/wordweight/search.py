@@ -2,12 +2,14 @@
 
 States are the remaining words still to be built; a move left-divides by
 one generator's expansion. A state is held as its reduced runs (``Runs``),
-not as a Word, and a child is one reduced concatenation of the move's
-runs and the state's (``words.mul_runs``). Two engines are provided: a
-best-first search (priority queue on cost plus heuristic, with an
-incumbent so that an admissible but inconsistent heuristic still yields
-the optimum) and an iterative-deepening depth-first search whose bound
-grows by the exact minimal overshoot. Both are deterministic for fixed inputs and budgets.
+not as a Word, and a child, the reduced product of the move's runs and
+the state's, is built in one step (``Move.apply``), which walks the seam
+(``words.mul_runs``) only when the facing runs cancel whole. Two engines
+are provided: a best-first search (priority queue on cost plus
+heuristic, with an incumbent so that an admissible but inconsistent
+heuristic still yields the optimum) and an iterative-deepening
+depth-first search whose bound grows by the exact minimal overshoot.
+Both are deterministic for fixed inputs and budgets.
 
 The heuristic reads only a state's key ``(na, nb, nc, letters)``: its
 abelianisation and letter count (``state_key``). A child's key follows
@@ -45,7 +47,11 @@ lower than the overshoot so far: every child's f is at least the
 floor's, so none of them could lower it. Best-first's overshoot cell
 holds 0, so it leaves out every family whose floor fails. A child's
 letter count comes from the runs where the move meets the state, and
-``words.seam`` walks only when two whole runs cancel.
+``words.seam`` walks only when two whole runs cancel. Only moves whose
+tail cancels the state's first run have their counts adjusted, and the
+least count is the least of theirs and the family's least letter count
+plus the state's, so a family whose least child fails is decided without
+listing its counts.
 
 A move set depends on the parameters and the families below the index
 cutoff alone, so each one, with its goal table and its families, is
@@ -85,9 +91,34 @@ Runs = tuple[Run, ...]  # a state: the reduced runs of a remainder
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """What a search may spend: ``max_nodes`` nodes (an int >= 1), a
+    cost cap ``max_cost`` (None or an int >= 0) and ``max_millis``
+    milliseconds (None or a finite number > 0). A field of another type
+    raises TypeError, one out of range ValueError: a nan deadline would
+    never be reached and a negative one would be spent at once."""
+
     max_nodes: int = 1_000_000
     max_cost: int | None = None
     max_millis: float | None = None
+
+    def __post_init__(self):
+        nodes, cost, millis = self.max_nodes, self.max_cost, self.max_millis
+        if type(nodes) is bool or not isinstance(nodes, int):
+            raise TypeError(f"max_nodes must be an int, got {nodes!r}")
+        if nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {nodes}")
+        if cost is not None:
+            if type(cost) is bool or not isinstance(cost, int):
+                raise TypeError(f"max_cost must be None or an int, got {cost!r}")
+            if cost < 0:
+                raise ValueError(f"max_cost must be >= 0, got {cost}")
+        if millis is not None:
+            if type(millis) is bool or not isinstance(millis, (int, float)):
+                raise TypeError(f"max_millis must be None or a number, got {millis!r}")
+            if not 0 < millis < _INF:  # nan fails too
+                raise ValueError(
+                    f"max_millis must be a finite number > 0, got {millis}"
+                )
 
 
 @dataclass(frozen=True)
@@ -97,12 +128,38 @@ class Move:
     ab: AbelianVector  # abelianisation of ``runs``
     letters: int  # letter count of ``runs``
     tail: str  # the last run of ``runs`` as a signed base (``_signed``)
+    body: Runs  # ``runs`` without its last run
+    base: str  # the last run's base
+    exp: int  # the last run's exponent
 
     @classmethod
     def of(cls, gen: Gen, expansion: Word) -> "Move":
         inverse = ~expansion
         runs, ab, letters = inverse.runs, inverse.abelianize(), inverse.s_length
-        return cls(gen, runs, ab, letters, _signed(*runs[-1]))
+        base, exp = runs[-1]
+        return cls(gen, runs, ab, letters, _signed(base, exp), runs[:-1], base, exp)
+
+    def apply(self, runs: Runs) -> Runs:
+        """The reduced runs of this move times a state, ``runs`` (reduced,
+        not the identity).
+
+        Only the move's last run (base, exp) and the state's first
+        (b0, e0) can meet, and each side is reduced on its own. If
+        b0 != base, nothing reduces and the product is the two run
+        sequences in turn. If b0 == base and s = exp + e0 != 0, the two
+        runs become (base, s) and nothing more reduces: the run before it
+        in ``body`` is not on ``base``, as the move is reduced, and
+        neither is the one after it in ``runs[1:]``, as the state is.
+        Only when s == 0 do the two runs cancel whole, and then the runs
+        behind them meet in turn, which ``words.mul_runs`` walks.
+        """
+        b0, e0 = runs[0]
+        if b0 != self.base:
+            return self.runs + runs
+        s = self.exp + e0
+        if s:
+            return self.body + ((b0, s),) + runs[1:]
+        return mul_runs(self.runs, runs)
 
 
 def _signed(base: str, exp: int) -> str:
@@ -137,7 +194,7 @@ class Family:
         letters = tuple(move.letters for move in moves)
         tails: dict[str, list[tuple[int, int]]] = {}
         for i, move in enumerate(moves):
-            tails.setdefault(move.tail, []).append((i, abs(move.runs[-1][1])))
+            tails.setdefault(move.tail, []).append((i, abs(move.exp)))
         return cls(
             moves[0].ab,
             min(letters),
@@ -182,6 +239,8 @@ class Outcome:
 
 
 _LETTER_MOVES = tuple(Move.of(letter, letter.word()) for letter in LETTERS)
+# what ``_children`` reads of each letter move, flat
+_LETTER_TABLE = tuple((move, *move.ab, move.tail) for move in _LETTER_MOVES)
 
 
 # Move sets listed, at most ``_MOVE_SET_LIMIT``; the oldest goes first.
@@ -386,11 +445,12 @@ def _family_children(
     the state's first run (``_signed``).
 
     Returns ``(passing, over)``: the passing children as (h, move, key)
-    in move order, and the least f of the failing ones, or infinity if
-    none fails. A family whose floor fails and is no lower than
-    ``overshoot`` is left out whole, with no child scored and ``over``
-    infinity, as every child's f is at least the floor's. Best-first,
-    which needs no overshoot, passes 0 (``_children``).
+    in move order, an iterable that a consumer may stop early, and the
+    least f of the failing ones, or infinity if none fails. A family
+    whose floor fails and is no lower than ``overshoot`` is left out
+    whole, with no child scored and ``over`` infinity, as every child's f
+    is at least the floor's. Best-first, which needs no overshoot, passes
+    0 (``_children``).
 
     One cutoff decides every child. The children share the floor key's
     abelianisation, and each one's letter count is at least the floor's,
@@ -399,7 +459,9 @@ def _family_children(
     (``make_heuristic``), so the children that pass are exactly those
     with fewer letters than the least letter count at which a child
     fails, the cutoff. Reading h at the children's distinct letter counts
-    in ascending order, up to the first that fails, finds it.
+    in ascending order, up to the first that fails, finds it; when the
+    least already fails, that one call decides the family, and no other
+    count is listed.
 
     The overshoot needs one value. By the same monotonicity, f over the
     failing children is smallest at the least letter count among them,
@@ -410,24 +472,35 @@ def _family_children(
     unless x's tail is ``anti``: the same base, the opposite sign. Then
     runs of different sizes cancel the shorter into the longer, twice
     its size in letters, and only runs of one size cancel whole and let
-    the walk go on (``words.seam``).
+    the walk go on (``words.seam``). So only the moves with tail
+    ``anti`` need their counts adjusted, and the least count is the least
+    of theirs and ``lo`` + |r|: every other move has at least ``lo``
+    letters and keeps its count, and a move with ``lo`` letters and tail
+    ``anti`` has a count of at most ``lo`` + |r| among theirs.
     """
     floor = fam.floor(key)
     f = ncost + h(floor)
     if f > limit and f >= overshoot:
-        return [], _INF
+        return (), _INF
     ab, slen = floor[:3], key[3]
     head = abs(runs[0][1])  # the size of the state's first run
-    counts = [n + slen for n in fam.letters]
+    letters = fam.letters
+    least = fam.lo + slen
+    cut = []  # (position, letter count) of each child with letters cancelled
     for i, size in fam.tails.get(anti, ()):
         if size != head:
-            counts[i] -= 2 * min(size, head)
+            n = letters[i] + slen - 2 * min(size, head)
         else:
-            counts[i] -= seam(fam.moves[i].runs, runs)[2]
-    least = min(counts)
+            n = letters[i] + slen - seam(fam.moves[i].runs, runs)[2]
+        cut.append((i, n))
+        if n < least:
+            least = n
     value = h(ab + (least,))
     if ncost + value > limit:  # no child passes
-        return [], ncost + value
+        return (), ncost + value
+    counts = [n + slen for n in letters]
+    for i, n in cut:
+        counts[i] = n
     hs = {least: value}  # h at each letter count that passes
     children = zip(fam.moves, counts)
     for level in sorted(set(counts))[1:]:
@@ -436,7 +509,7 @@ def _family_children(
             passing = [(hs[n], move, ab + (n,)) for move, n in children if n < level]
             return passing, ncost + value
         hs[level] = value
-    return [(hs[n], move, ab + (n,)) for move, n in children], _INF
+    return ((hs[n], move, ab + (n,)) for move, n in children), _INF
 
 
 def _children(groups, h, key, runs, ncost, limit, over):
@@ -454,14 +527,14 @@ def _children(groups, h, key, runs, ncost, limit, over):
     best-first, which needs no overshoot, a cell holding 0.
 
     A letter child has one letter more than its parent, or one less when
-    the letter cancels the parent's first.
+    the letter cancels the parent's first; ``anti`` is
+    ``_signed(base, -exp)`` of that first run, written out.
     """
     na, nb, nc, slen = key
-    anti = _signed(runs[0][0], -runs[0][1])
-    for move in _LETTER_MOVES:
-        dna, dnb, dnc = move.ab
-        letters = slen - 1 if move.tail == anti else slen + 1  # no seam
-        nkey = (na + dna, nb + dnb, nc + dnc, letters)
+    base, exp = runs[0]
+    anti = base if exp < 0 else base.upper()
+    for move, dna, dnb, dnc, tail in _LETTER_TABLE:
+        nkey = (na + dna, nb + dnb, nc + dnc, slen - 1 if tail == anti else slen + 1)
         value = h(nkey)
         f = ncost + value
         if f <= limit:
@@ -486,12 +559,14 @@ def best_first(
     """Optimal factorization cost within ``cap``, or a proven lower bound.
 
     A heap entry is (f, letters, runs, cost, key): a state's runs and its
-    key ride with it, and ``best_g`` and the parent links are keyed by
-    runs. Each child is scored before it is built: its key is the
-    parent's abelianisation plus the move's, and the two letter counts
-    less the letters cancelled at the seam, so f = cost + h(key) needs no
-    product. A child that passes is built as runs (``words.mul_runs``);
-    no Word is made for it.
+    key ride with it. One dict, ``best``, keyed by runs, holds for each
+    state pushed its least cost g so far, its parent and the generator
+    between them, as (g, parent, generator); the root's parent is None.
+    Each child is scored before it is built: its key is the parent's
+    abelianisation plus the move's, and the two letter counts less the
+    letters cancelled at the seam, so f = cost + h(key) needs no product.
+    A child that passes is built as runs in one step (``Move.apply``); no
+    Word is made for it.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
     unbuilt. The children come from the scan both engines share
     (``_children``), with an overshoot cell holding 0: a letter is
@@ -531,15 +606,14 @@ def best_first(
 
     The incumbent is a real path with exactly that many symbols. It is
     recorded as (X, generator), X the runs of a state, with incumbent =
-    best_g[X] + 1, and best_g[X] drops only with a push of X, which looks
-    X up again and lowers the incumbent with it. Runs are reduced, so
-    equal runs are one state, and a key by runs names the state a Word
-    key named. Parent links point to states of smaller best_g, so
-    ``_rebuild`` walks from X back to the runs of u in at most best_g[X]
-    steps: a real factorization of at most incumbent symbols.
-    A proven incumbent is optimal, so the walk has exactly best_g[X]
-    steps. When the budget runs out, the walk is returned unproven and
-    its own length is used.
+    g(X) + 1, and g(X) drops only with a push of X, which looks X up
+    again and lowers the incumbent with it. Runs are reduced, so equal
+    runs are one state, and a key by runs names the state a Word key
+    named. Parent links point to states of smaller g, so ``_rebuild``
+    walks from X back to the runs of u in at most g(X) steps: a real
+    factorization of at most incumbent symbols. A proven incumbent is
+    optimal, so the walk has exactly g(X) steps. When the budget runs
+    out, the walk is returned unproven and its own length is used.
     ``xlength`` re-multiplies every path and raises on a mismatch.
     """
     if u.is_identity():
@@ -550,10 +624,9 @@ def best_first(
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
     goals = moves.goals
-    product = mul_runs
     start = u.runs
-    best_g: dict[Runs, int] = {start: 0}
-    parents: dict[Runs, tuple[Runs, Gen]] = {}
+    best: dict[Runs, tuple[int, Runs | None, Gen | None]] = {start: (0, None, None)}
+    unseen = (_INF,)  # what ``best`` holds for a state never pushed
     heap: list[tuple[int, int, Runs, int, tuple]] = [(start_h, root[3], start, 0, root)]
     incumbent: int | None = None
     last: tuple[Runs, Gen] | None = None  # the incumbent's expansion state
@@ -565,8 +638,8 @@ def best_first(
     while heap:
         f, _, runs, cost, key = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, start, last), nodes, incumbent)
-        if cost > best_g.get(runs, -1):
+            return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
+        if cost > best[runs][0]:
             continue  # stale entry
         nodes += 1
         if nodes > budget.max_nodes or (
@@ -574,7 +647,7 @@ def best_first(
         ):
             # an incumbent found before running dry is still a valid witness,
             # just not proven optimal
-            partial = _rebuild(parents, start, last) if incumbent is not None else None
+            partial = _rebuild(best, start, last) if incumbent is not None else None
             return Outcome(None, partial, nodes, 0)
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
@@ -582,30 +655,28 @@ def best_first(
             continue  # every child has f >= ncost + 1
         children = _children(moves.groups, h, key, runs, ncost, limit, no_overshoot)
         for value, move, nkey in children:
-            nxt = product(move.runs, runs)
-            if ncost < best_g.get(nxt, _INF):
-                best_g[nxt] = ncost
-                parents[nxt] = (runs, move.gen)
+            nxt = move.apply(runs)
+            if ncost < best.get(nxt, unseen)[0]:
+                best[nxt] = (ncost, runs, move.gen)
                 heappush(heap, (ncost + value, nkey[3], nxt, ncost, nkey))
                 if value == 1 and (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, start, last), nodes, incumbent)
+        return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
     return Outcome(None, None, nodes, cap + 1)
 
 
-def _rebuild(
-    parents: dict[Runs, tuple[Runs, Gen]], start: Runs, last: tuple[Runs, Gen]
-) -> list[Gen]:
+def _rebuild(parents: dict, start: Runs, last: tuple[Runs, Gen]) -> list[Gen]:
     """The path from ``start`` to ``last``'s state, then ``last``'s
-    generator; ``parents`` maps each state but ``start`` to its parent
-    and the generator between them."""
+    generator; ``parents`` maps each state but ``start`` to an entry
+    whose last two fields are its parent and the generator between them
+    (best-first's ``best`` holds its cost before them)."""
     state, gen = last
     path = [gen]
     while state != start:
-        state, gen = parents[state]
+        state, gen = parents[state][-2:]
         path.append(gen)
     path.reverse()
     return path
@@ -627,7 +698,7 @@ def deepening(
     f <= bound. Each child is scored from its parent's key before it is
     built, as in ``best_first``; a child with f > bound enters the
     overshoot and is skipped unbuilt, and only a child that passes is
-    built, as runs (``words.mul_runs``), and checked against the path,
+    built, as runs (``Move.apply``), and checked against the path,
     a set of runs. A frame holds its state's runs and the rest of its
     child scan (``_children``), which carries the children's keys. Nodes,
     the unit of ``max_nodes``, are the states visited, each checked
@@ -674,7 +745,6 @@ def deepening(
         return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
     goals, groups = moves.goals, moves.groups
-    product = mul_runs
     nodes = 0
     root_key = state_key(u)
     bound = h(root_key)
@@ -702,7 +772,7 @@ def deepening(
             while runs is None and frames:
                 parent, children = frames[-1]
                 for _, move, nkey in children:
-                    nxt = product(move.runs, parent)
+                    nxt = move.apply(parent)
                     if nxt not in on_path:
                         on_path.add(nxt)
                         path.append(move.gen)

@@ -105,7 +105,7 @@ class Word:
         for base, exp in runs:
             if base not in BASES:
                 raise ValueError(f"unknown base {base!r}")
-            if not isinstance(exp, int):
+            if type(exp) is not int:  # a bool is an int too
                 raise ValueError(f"exponent {exp!r} is not an int")
         return cls(_merge_runs(runs))
 

@@ -4,7 +4,9 @@ soundness, dominance over the earlier bound and bounded cost of the
 heuristic, and its one bounded memo per move set, shared by searches
 and threads; the family floor and the
 monotonicity that the engines' family scoring rests on, and that step
-and the child scan both engines share against a per-child scan;
+and the child scan both engines share against a per-child scan; the
+one-step child builder against the general product, the least child
+count, and the checks on a search budget's fields;
 differential tests of exact lengths, through xlength and of the two
 engines called directly; the deadlines of the
 listing and of both engines; and both engines against
@@ -54,7 +56,7 @@ from wordweight.search import (
     make_heuristic,
     state_key,
 )
-from wordweight.words import IDENTITY, LETTERS, Word
+from wordweight.words import IDENTITY, LETTERS, Word, mul_runs
 
 P2 = GenSetParams(base=2, jmin=1)
 
@@ -439,6 +441,7 @@ class TestFamilyChildren:
             passing, over = search._family_children(
                 fam, h, key, r.runs, anti, ncost, limit, float("inf")
             )
+            passing = list(passing)
             # exactly the children that pass, in move order, with h and key
             assert passing == [c for c in scored if ncost + c[0] <= limit]
             # a prefix by letter count: L*, the largest passing count, is
@@ -451,9 +454,10 @@ class TestFamilyChildren:
             assert over == min((ncost + c[0] for c in failing), default=float("inf"))
             # with the overshoot at the floor's f, a failing floor leaves
             # the family out unscored
-            skipped = search._family_children(
+            rest, rest_over = search._family_children(
                 fam, h, key, r.runs, anti, ncost, limit, floor_f
             )
+            skipped = (list(rest), rest_over)
             left_out = ([], float("inf"))
             assert skipped == (left_out if floor_f > limit else (passing, over))
 
@@ -507,6 +511,123 @@ class TestFamilyChildren:
                 calls.clear()
                 assert len(list(itertools.islice(scan([inf]), k))) == k
                 assert {c[:3] for c in calls} <= set(abs_of[: g + 1])
+
+
+def join(head: tuple, rest: tuple) -> tuple:
+    """``head`` then ``rest``, two reduced run sequences, when they do not
+    meet on one base; ``head`` alone when they do."""
+    return head + rest if not rest or rest[0][0] != head[-1][0] else head
+
+
+def facing_states(move, rest: Word, k: int, size: int) -> dict[str, tuple]:
+    """States that meet ``move``'s last run (base, exp) in each way a
+    product can reduce there, each followed by ``rest`` when that keeps
+    it reduced: a first run on another base, one that merges with it, one
+    that cancels part of it (size ``size``, or one more if that is
+    |exp|), and the inverse of the move's last ``k`` runs, which cancels
+    it whole and walks on."""
+    base, exp = move.runs[-1]
+    other = "b" if base == "a" else "a"
+    sign = 1 if exp > 0 else -1
+    part = size if size != abs(exp) else size + 1
+    heads = {
+        "other base": ((other, size),),
+        "merge": ((base, sign * size),),
+        "partial cancel": ((base, -sign * part),),
+        "whole cancel": tuple((b, -e) for b, e in reversed(move.runs[-k:])),
+    }
+    return {case: join(head, rest.runs) for case, head in heads.items()}
+
+
+class TestMoveApply:
+    """The one-step child builder both engines use, against the general
+    reduced product, and the least letter count of a family's children,
+    which ``_family_children`` finds without listing every count."""
+
+    SPECS = [(2, 0), (2, 40), (3, 0)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(remainders, st.integers(1, 4), st.integers(1, 40))
+    def test_matches_mul_runs(self, rest, k, size):
+        # every letter move and every family move at bases 2 and 3
+        for spec in [(2, 40), (3, 0)]:
+            _, moves = move_set(*spec)
+            for move in moves.moves:
+                states = facing_states(move, rest, min(k, len(move.runs)), size)
+                assert states["whole cancel"][0] == (move.base, -move.exp)
+                for state in (rest.runs, *states.values()):
+                    if state:
+                        assert move.apply(state) == mul_runs(move.runs, state)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_least_count_is_the_least_child(self, spec):
+        # States whose first run is cancelled by each tail, at every size
+        # of that tail's last runs, one less and one more, and by a whole
+        # cancel that walks on; scored on the family, and on the moves of
+        # that tail alone, where every move's count is adjusted.
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)
+        inf = float("inf")
+        for fam in moves.groups:
+            for tail, ix in fam.tails.items():
+                base, sign = tail.lower(), -1 if tail.islower() else 1
+                other = "b" if base == "a" else "a"
+                states = set()
+                for rest in [(), ((other, 3), (base, sign))]:
+                    for i, size in ix:
+                        move = fam.moves[i]
+                        walk = tuple((b, -e) for b, e in move.runs[:-3:-1])
+                        states.add(join(walk, rest))
+                        for head in {max(1, size - 1), size, size + 1}:
+                            states.add(join(((base, sign * head),), rest))
+                alone = search.Family.of(tuple(fam.moves[i] for i, _ in ix))
+                for group in (fam, alone):
+                    for state in states:
+                        r = Word(state)
+                        calls = []
+
+                        def counted(key):
+                            calls.append(key)
+                            return h(key)
+
+                        # limit -1: the first call past the floor, at the
+                        # least count, decides the family
+                        _, over = search._family_children(
+                            group, counted, state_key(r), state, tail, 1, -1, inf
+                        )
+                        children = [Word(move.runs) * r for move in group.moves]
+                        least = min(child.s_length for child in children)
+                        assert len(calls) == 2 and calls[1][3] == least
+                        assert over == 1 + h(calls[1])
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            (dict(max_nodes=2000.5), TypeError),
+            (dict(max_nodes=True), TypeError),
+            (dict(max_nodes="700"), TypeError),
+            (dict(max_nodes=0), ValueError),
+            (dict(max_cost=1.0), TypeError),
+            (dict(max_cost=False), TypeError),
+            (dict(max_cost=-1), ValueError),
+            (dict(max_millis=True), TypeError),
+            (dict(max_millis="50"), TypeError),
+            (dict(max_millis=float("nan")), ValueError),
+            (dict(max_millis=float("inf")), ValueError),
+            (dict(max_millis=0), ValueError),
+            (dict(max_millis=-1), ValueError),
+        ],
+    )
+    def test_refuses_what_no_budget_means(self, fields, error):
+        with pytest.raises(error):
+            SearchBudget(**fields)
+
+    def test_accepts_every_field_in_range(self):
+        budget = SearchBudget(max_nodes=1, max_cost=0, max_millis=0.5)
+        assert (budget.max_nodes, budget.max_cost, budget.max_millis) == (1, 0, 0.5)
+        assert SearchBudget(max_millis=50).max_millis == 50
 
 
 @lru_cache(maxsize=None)
@@ -810,10 +931,10 @@ class TestPartialExpansion:
         skips = counting_skips(monkeypatch)
         products = []
         pushed = set()
-        multiply = search.mul_runs
+        apply = search.Move.apply
 
-        def recorded_mul(x, y):
-            product = multiply(x, y)
+        def recorded_apply(move, runs):
+            product = apply(move, runs)
             products.append(product)
             return product
 
@@ -830,12 +951,12 @@ class TestPartialExpansion:
                 products.clear()
                 pushed.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(search, "mul_runs", recorded_mul)
+                    patch.setattr(search.Move, "apply", recorded_apply)
                     patch.setattr(search, "heappush", recorded_push)
                     got = best_first(u, moves, cap, h, budget, 0.0)
                 assert got == expected, str(u)
-                # Only children that pass the f test are multiplied out, and
-                # such a child is pushed unless best_g already holds it: it
+                # Only children that pass the f test are built, and such a
+                # child is pushed unless ``best`` already holds it: it
                 # is the root or a pushed state. The identity never passes,
                 # as its parent is an expansion. Scoring after the product
                 # would build children that are none of these.

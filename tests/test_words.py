@@ -72,6 +72,20 @@ class TestParse:
             W("a^1.5")
 
 
+class TestFromRuns:
+    def test_reduces(self):
+        assert Word.from_runs([("a", 2), ("a", -2), ("b", 3), ("c", 0)]).runs == (
+            ("b", 3),
+        )
+
+    @pytest.mark.parametrize(
+        "runs", [[("a", True), ("b", 2)], [("a", 1.0)], [("a", "2")], [("d", 1)]]
+    )
+    def test_refuses_what_is_not_a_run(self, runs):
+        with pytest.raises(ValueError):
+            Word.from_runs(runs)
+
+
 class TestConcat:
     def test_full_cancellation(self):
         assert W("a^3") * W("a^-3") == IDENTITY
