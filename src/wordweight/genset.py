@@ -83,17 +83,19 @@ def normalize_conjugator(v: Word, j: int, params: GenSetParams) -> BigGen:
 
     Conjugating b^k by v and by v-with-trailing-b-power-removed gives the
     same group element, so each generator has a unique representative
-    whose conjugator does not end in b^(+-1).
+    whose conjugator does not end in b^(+-1). The bound |v| <= B^j applies
+    to that representative: ``a b^2`` at base 2, index 1 is x(a, 1).
     """
     _check_index(j, params)
-    if v.s_length > params.conjugator_bound(j):
+    conj = v.runs
+    if conj and conj[-1][0] == "b":
+        conj = conj[:-1]
+    conj = Word(conj)
+    if conj.s_length > params.conjugator_bound(j):
         raise ConjugatorTooLong(
-            f"|v|={v.s_length} exceeds bound {params.conjugator_bound(j)} for index {j}"
+            f"|v|={conj.s_length} exceeds bound {params.conjugator_bound(j)} for index {j}"
         )
-    runs = v.runs
-    if runs and runs[-1][0] == "b":
-        runs = runs[:-1]
-    return BigGen(Word(runs), j)
+    return BigGen(conj, j)
 
 
 def expand_generator(gen: Gen, params: GenSetParams) -> Word:

@@ -19,6 +19,17 @@ built and build only the children that pass (partial expansion). Each
 engine keeps a state's key beside its runs, in the heap entry or the
 frame, so no key is computed twice.
 
+Best-first goes further and builds a passing child only when the search
+reaches it (deferred generation, as in partial-expansion A*). It pushes
+the child as a deferred entry, (f, letters, (), seq, cost, key, parent,
+move), and builds it with ``Move.apply`` when that entry is popped; a
+child with h = 1 is built when pushed, as its goal lookup needs its
+runs. A built entry is (f, letters, runs, cost, key). The empty tuple
+sorts before any runs, so within one (f, letters) every deferred child
+is built before a built entry is popped, and ``seq``, the push order,
+settles ties between deferred children; the pops, parents and paths are
+those of building every passing child at once (``best_first``).
+
 The goal test is a lookup, not a move: a state is one move from the
 identity exactly when it is the expansion of some move, and the move
 set's goal table (``MoveSet.goals``) maps the runs of each expansion to
@@ -239,8 +250,16 @@ class Outcome:
 
 
 _LETTER_MOVES = tuple(Move.of(letter, letter.word()) for letter in LETTERS)
-# what ``_children`` reads of each letter move, flat
-_LETTER_TABLE = tuple((move, *move.ab, move.tail) for move in _LETTER_MOVES)
+# what ``_children`` reads of each letter move, flat, keyed by the signed
+# base that cancels the state's first run, which is one of the letters'
+# tails: the move and its key step, the letter count falling by one for
+# the letter whose tail it is and rising by one for the others
+_LETTER_STEPS = {
+    anti: tuple(
+        (move, *move.ab, -1 if move.tail == anti else 1) for move in _LETTER_MOVES
+    )
+    for anti in (move.tail for move in _LETTER_MOVES)
+}
 
 
 # Move sets listed, at most ``_MOVE_SET_LIMIT``; the oldest goes first.
@@ -527,14 +546,15 @@ def _children(groups, h, key, runs, ncost, limit, over):
     best-first, which needs no overshoot, a cell holding 0.
 
     A letter child has one letter more than its parent, or one less when
-    the letter cancels the parent's first; ``anti`` is
-    ``_signed(base, -exp)`` of that first run, written out.
+    the letter cancels the parent's first run; ``anti`` is
+    ``_signed(base, -exp)`` of that first run, written out, and it picks
+    the letters' key steps from one table (``_LETTER_STEPS``).
     """
     na, nb, nc, slen = key
     base, exp = runs[0]
     anti = base if exp < 0 else base.upper()
-    for move, dna, dnb, dnc, tail in _LETTER_TABLE:
-        nkey = (na + dna, nb + dnb, nc + dnc, slen - 1 if tail == anti else slen + 1)
+    for move, dna, dnb, dnc, dlen in _LETTER_STEPS[anti]:
+        nkey = (na + dna, nb + dnb, nc + dnc, slen + dlen)
         value = h(nkey)
         f = ncost + value
         if f <= limit:
@@ -558,17 +578,29 @@ def best_first(
 ) -> Outcome:
     """Optimal factorization cost within ``cap``, or a proven lower bound.
 
-    A heap entry is (f, letters, runs, cost, key): a state's runs and its
-    key ride with it. One dict, ``best``, keyed by runs, holds for each
-    state pushed its least cost g so far, its parent and the generator
-    between them, as (g, parent, generator); the root's parent is None.
+    Heap entries come in two layouts. A built entry is
+    (f, letters, runs, cost, key): a state's runs and its key ride with
+    it. A deferred entry is (f, letters, (), seq, cost, key, parent,
+    move): a child not yet built, named by the runs of the state it was
+    reached from and the move between them, with ``seq`` the number of
+    deferred entries pushed before it. A child with h = 1 is built when
+    it is pushed, as its goal lookup needs its runs; every other child
+    that passes is pushed deferred and built (``Move.apply``) only when
+    its entry is popped, so a child the search never reaches is never
+    multiplied out or hashed (deferred generation, as in partial-expansion
+    A*). One dict, ``best``, keyed by runs, holds for each state built its
+    least cost g so far, its parent and the generator between them, as
+    (g, parent, generator); the root's parent is None. A deferred child
+    built at a cost no lower than ``best`` holds for it is dropped.
+    Otherwise it enters ``best``, and it is expanded at once if it sorts
+    before every entry left in the heap, and pushed back built if not. A
+    built entry popped at a cost above ``best``'s is stale and skipped.
+
     Each child is scored before it is built: its key is the parent's
     abelianisation plus the move's, and the two letter counts less the
     letters cancelled at the seam, so f = cost + h(key) needs no product.
-    A child that passes is built as runs in one step (``Move.apply``); no
-    Word is made for it.
     A child with f above the limit, min(cap, incumbent - 1), is skipped
-    unbuilt. The children come from the scan both engines share
+    unpushed. The children come from the scan both engines share
     (``_children``), with an overshoot cell holding 0: a letter is
     scored when the scan reaches it, and a family's children together
     (``_family_children``): they pass exactly below one cutoff letter
@@ -577,13 +609,30 @@ def best_first(
     above the limit is left out after one call. The limit is fixed while
     a node is scanned, until the goal hit that stops the scan, and the
     scan scores nothing past the child it stops at, so the left-out
-    children are exactly ones a full scan would have skipped one by one:
-    the pushes, their order and hence the node count, cost and path are
-    those of a full scan.
+    children are exactly ones a full scan would have skipped one by one.
 
-    Goal test. A state is looked up in the goal table each time it
-    enters the heap, the root before the loop, but for a child with
-    h > 1: as h is admissible, that child is more than one move from the
+    The pops are those of the eager scan, which built each passing child
+    and pushed it built unless ``best`` held it at no greater cost. h is
+    a function of the key, so a state has one letter count and, at one
+    cost, one f by every parent, and it is either always built at push or
+    always deferred. Entries compare by (f, letters) first, and within one
+    (f, letters) () sorts before any runs, so every deferred entry there
+    is built before any built entry there is popped, and is pushed back
+    among them unless it is the least: the built entries are popped by
+    runs, in the eager order. A deferred state reached twice at one cost
+    has two entries with one (f, letters), built in ``seq`` order, which
+    is push order, so the first parent to reach it is its parent, as in
+    the eager scan, and the later entry is dropped, as its eager push
+    was. A state reached at a lower cost has a lower f, so an entry at a
+    higher cost is either built before the lower one is pushed, and then
+    goes stale as its eager entry did, or dropped when built, where its
+    eager entry was stale or never pushed. So the states expanded, their
+    order and parents, the incumbent, the node count, cost and path are
+    those of the eager scan.
+
+    Goal test. A state is looked up in the goal table each time it is
+    pushed built, the root before the loop, but never a child with h > 1:
+    as h is admissible, that child is more than one move from the
     identity, so it is no expansion. A hit on a state X pushed
     at cost g is a factorization with g + 1 symbols: the path to X, then
     the generator the table names. X passed f <= limit with h(X) = 1
@@ -594,27 +643,30 @@ def best_first(
     an incumbent of at most g when it was pushed. So the scan stops, and
     a node whose children cost g is not scanned at all once limit <= g.
 
-    Optimality. Suppose a factorization of c* <= cap symbols, with states
-    s_0 = u, ..., s_c* = 1, and an incumbent that stays above c* or
-    unset. Then every limit is at least c*, and each s_i with i < c* has
-    f <= i + (c* - i) = c* at cost i, the least cost at which it can be
-    reached. By induction each such s_i is pushed at cost i: s_(i-1) is
-    in the heap with f < incumbent, so it is popped before the search
-    ends, at its least cost, so not stale, and its scan reaches s_i, as
-    a stop needs limit <= i < c*. Pushing s_(c*-1), an expansion, sets
-    an incumbent of at most c*, a contradiction.
+    Optimality. A state is pushed when an entry for it, built or
+    deferred, enters the heap. Suppose a factorization of c* <= cap
+    symbols, with states s_0 = u, ..., s_c* = 1, and an incumbent that
+    stays above c* or unset. Then every limit is at least c*, and each
+    s_i with i < c* has f <= i + (c* - i) = c* at cost i, the least cost
+    at which it can be reached. By induction each such s_i is pushed at
+    cost i: s_(i-1) is in the heap at cost i - 1, its least, with
+    f < incumbent, so its entries at that cost are popped before the
+    search ends, the first of them is neither dropped nor stale and is
+    expanded, and its scan reaches s_i, as a stop needs limit <= i < c*.
+    Pushing s_(c*-1), an expansion, sets an incumbent of at most c*, a
+    contradiction.
 
     The incumbent is a real path with exactly that many symbols. It is
     recorded as (X, generator), X the runs of a state, with incumbent =
-    g(X) + 1, and g(X) drops only with a push of X, which looks X up
-    again and lowers the incumbent with it. Runs are reduced, so equal
-    runs are one state, and a key by runs names the state a Word key
-    named. Parent links point to states of smaller g, so ``_rebuild``
-    walks from X back to the runs of u in at most g(X) steps: a real
-    factorization of at most incumbent symbols. A proven incumbent is
-    optimal, so the walk has exactly g(X) steps. When the budget runs
-    out, the walk is returned unproven and its own length is used.
-    ``xlength`` re-multiplies every path and raises on a mismatch.
+    g(X) + 1, and g(X) drops only with a push of X, built as h(X) = 1,
+    which looks X up again and lowers the incumbent with it. Runs are
+    reduced, so equal runs are one state, and a key by runs names the
+    state a Word key named. Parent links point to states of smaller g,
+    so ``_rebuild`` walks from X back to the runs of u in at most g(X)
+    steps: a real factorization of at most incumbent symbols. A proven
+    incumbent is optimal, so the walk has exactly g(X) steps. When the
+    budget runs out, the walk is returned unproven and its own length is
+    used. ``xlength`` re-multiplies every path and raises on a mismatch.
     """
     if u.is_identity():
         return Outcome(0, [], 0, 0)
@@ -626,21 +678,33 @@ def best_first(
     goals = moves.goals
     start = u.runs
     best: dict[Runs, tuple[int, Runs | None, Gen | None]] = {start: (0, None, None)}
-    unseen = (_INF,)  # what ``best`` holds for a state never pushed
-    heap: list[tuple[int, int, Runs, int, tuple]] = [(start_h, root[3], start, 0, root)]
+    unseen = (_INF,)  # what ``best`` holds for a state never built
+    heap: list[tuple] = [(start_h, root[3], start, 0, root)]
     incumbent: int | None = None
     last: tuple[Runs, Gen] | None = None  # the incumbent's expansion state
     gen = goals.get(start)
     if gen is not None:
         incumbent, last = 1, (start, gen)
-    nodes = 0
+    nodes = seq = 0
     no_overshoot = [0]
     while heap:
-        f, _, runs, cost, key = heappop(heap)
+        entry = heappop(heap)
+        f = entry[0]
         if incumbent is not None and f >= incumbent:
             return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
-        if cost > best[runs][0]:
-            continue  # stale entry
+        if entry[2]:
+            _, _, runs, cost, key = entry
+            if cost > best[runs][0]:
+                continue  # stale entry
+        else:  # a deferred child: build it now
+            _, letters, _, _, cost, key, parent, move = entry
+            runs = move.apply(parent)
+            if cost >= best.get(runs, unseen)[0]:
+                continue  # built before at no greater cost
+            best[runs] = (cost, parent, move.gen)
+            if heap and heap[0] < (f, letters, runs):
+                heappush(heap, (f, letters, runs, cost, key))
+                continue
         nodes += 1
         if nodes > budget.max_nodes or (
             deadline is not None and time.perf_counter() > deadline
@@ -655,11 +719,15 @@ def best_first(
             continue  # every child has f >= ncost + 1
         children = _children(moves.groups, h, key, runs, ncost, limit, no_overshoot)
         for value, move, nkey in children:
+            if value != 1:
+                seq += 1
+                heappush(heap, (ncost + value, nkey[3], (), seq, ncost, nkey, runs, move))
+                continue
             nxt = move.apply(runs)
             if ncost < best.get(nxt, unseen)[0]:
                 best[nxt] = (ncost, runs, move.gen)
-                heappush(heap, (ncost + value, nkey[3], nxt, ncost, nkey))
-                if value == 1 and (gen := goals.get(nxt)) is not None:
+                heappush(heap, (ncost + 1, nkey[3], nxt, ncost, nkey))
+                if (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
     if incumbent is not None:

@@ -128,6 +128,12 @@ class TestNormalize:
             normalize_conjugator(IDENTITY, 1, P5)
         with pytest.raises(ConjugatorTooLong):
             normalize_conjugator(W("a^26"), 2, P5)
+        with pytest.raises(ConjugatorTooLong, match=r"^\|v\|=26 exceeds bound 25 "):
+            normalize_conjugator(W("a^26 b"), 2, P5)
+
+    def test_bound_applies_after_stripping(self):
+        # |a b^2| = 3 exceeds B^j = 2, but the generator is x(a, 1)
+        assert normalize_conjugator(W("a b^2"), 1, GenSetParams(2, 1)) == BigGen(W("a"), 1)
 
     def test_index_above_cap(self):
         capped = GenSetParams(5, 2, jmax_cap=3)

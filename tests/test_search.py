@@ -10,9 +10,9 @@ count, and the checks on a search budget's fields;
 differential tests of exact lengths, through xlength and of the two
 engines called directly; the deadlines of the
 listing and of both engines; and both engines against
-full-scan references: best-first's partial expansion against the
-full-expansion loop it replaced, deepening against a plain recursive
-one."""
+full-scan references: best-first's partial expansion and deferred
+builds against the full-expansion loop it replaced, on fixed targets and
+on random words, deepening against a plain recursive one."""
 
 import dataclasses
 import itertools
@@ -24,7 +24,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wordweight.errors import BudgetExhausted
 from wordweight.genset import (
@@ -96,6 +96,14 @@ def earlier_heuristic(r: Word, params: GenSetParams, moves: MoveSet) -> int:
         m += 1
     return max(pool_bound(ab, params.base)[0], struct)
 
+
+short_words = st.lists(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.one_of(st.integers(-3, 3), st.integers(-10, 10)).filter(bool),
+    ),
+    max_size=4,
+).map(Word.from_runs)
 
 remainders = st.lists(
     st.tuples(
@@ -902,10 +910,57 @@ def counting_skips(monkeypatch) -> list[int]:
     return skips
 
 
+class BuildRecord:
+    """What ``recording_builds`` saw in one search (``start``) and in all."""
+
+    def __init__(self):
+        self.total = self.ties = 0
+        self.start()
+
+    def start(self):
+        self.pops = self.at_top = self.at_push = self.stray = 0
+        self.top = None  # the deferred entry popped last, until it is built
+        self.costs = {}  # the cost each state was first built at from the top
+
+
+def recording_builds(monkeypatch, h) -> BuildRecord:
+    """Patches ``search.heappop`` and ``search.Move.apply`` to sort each
+    child that best-first builds: at the top, the child of the deferred
+    entry popped last; at push, a child with h = 1; else stray. A child
+    built at the top at the cost some earlier one of the same state had
+    there is a tie: one state reached from two parents at one cost."""
+    record = BuildRecord()
+    apply = search.Move.apply
+
+    def recorded_pop(heap):
+        entry = heappop(heap)
+        record.pops += 1
+        record.top = None if entry[2] else entry
+        return entry
+
+    def recorded_apply(move, runs):
+        child = apply(move, runs)
+        record.total += 1
+        top, record.top = record.top, None
+        if top is not None and top[6] is runs and top[7] is move:
+            record.at_top += 1
+            record.ties += record.costs.get(child) == top[4]
+            record.costs.setdefault(child, top[4])
+        elif h(state_key(Word(child))) == 1:
+            record.at_push += 1
+        else:
+            record.stray += 1
+        return child
+
+    monkeypatch.setattr(search, "heappop", recorded_pop)
+    monkeypatch.setattr(search.Move, "apply", recorded_apply)
+    return record
+
+
 class TestPartialExpansion:
     """Both engines against the full-scan references above: the same
     cost, path and node count, with families left out whole on the way.
-    The partial-expansion check applies to best-first."""
+    The build checks and the random words apply to best-first."""
 
     # (move set, small and large node budgets, extra targets): the index-2
     # family makes the full-expansion references cost milliseconds per
@@ -929,40 +984,54 @@ class TestPartialExpansion:
         h = make_heuristic(params, moves.families)
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
         skips = counting_skips(monkeypatch)
-        products = []
-        pushed = set()
-        apply = search.Move.apply
-
-        def recorded_apply(move, runs):
-            product = apply(move, runs)
-            products.append(product)
-            return product
-
-        def recorded_push(heap, item):
-            pushed.add(item[2])  # the runs of the state pushed
-            heappush(heap, item)
-
-        built = 0
+        builds = recording_builds(monkeypatch, h)
         for u in self.targets(spec, extra):
             cap = xlength(u, params, mode="bracket").upper
             for max_nodes in budgets:
                 budget = SearchBudget(max_nodes=max_nodes)
                 expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of)
-                products.clear()
-                pushed.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(search.Move, "apply", recorded_apply)
-                    patch.setattr(search, "heappush", recorded_push)
-                    got = best_first(u, moves, cap, h, budget, 0.0)
+                builds.start()
+                got = best_first(u, moves, cap, h, budget, 0.0)
                 assert got == expected, str(u)
-                # Only children that pass the f test are built, and such a
-                # child is pushed unless ``best`` already holds it: it
-                # is the root or a pushed state. The identity never passes,
-                # as its parent is an expansion. Scoring after the product
-                # would build children that are none of these.
-                assert pushed.union([u.runs]).issuperset(products), str(u)
-                built += len(products)
-        assert built and skips[0]
+                # A child is built only when its deferred entry reaches
+                # the top of the heap, or at push when its h is 1, so at
+                # most one child a pop is built besides those.
+                built = builds.at_top + builds.at_push + builds.stray
+                assert builds.stray == 0, str(u)
+                assert built <= builds.pops + builds.at_push, str(u)
+        # some state was reached from two parents at one cost, so the
+        # tie-break among deferred entries was exercised
+        assert builds.total and builds.ties and skips[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((2, 3)),
+        short_words,
+        st.booleans(),
+        short_words,
+        st.sampled_from((1, 4, 30, 300)),
+    )
+    # each reaches a state from two parents at one cost, and the last
+    # three return another path if the later parent wins the tie
+    @example(2, Word.parse("a b^5 a"), False, IDENTITY, 300)
+    @example(3, Word.parse("c"), True, Word.parse("b"), 300)
+    @example(2, Word.parse("c^2"), True, Word.parse("c b a c^-1"), 300)
+    @example(2, Word.parse("c^2"), True, Word.parse("a b a^-1"), 300)
+    @example(2, Word.parse("c"), True, Word.parse("c^2 b a b^-1"), 300)
+    def test_random_words_match_full_expansion(self, base, head, block, tail, max_nodes):
+        # head, then a^(B^2) b^(B^2) if ``block``, then tail
+        params, moves = move_set(base, 0)
+        square = base * base
+        core = Word.from_runs([("a", square), ("b", square)]) if block else IDENTITY
+        u = head * core * tail
+        if u.is_identity():
+            return
+        h = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        cap = xlength(u, params, mode="bracket").upper
+        budget = SearchBudget(max_nodes=max_nodes)
+        expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of)
+        assert best_first(u, moves, cap, h, budget, 0.0) == expected
 
     @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=IDS)
     def test_deepening_matches_full_scan(self, spec, budgets, extra, monkeypatch):
