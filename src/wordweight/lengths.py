@@ -33,11 +33,10 @@ from .genset import (
     expand_generator,
 )
 from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
-from .words import IDENTITY, LETTERS, Word, hom_value
+from .words import IDENTITY, LETTER_OF, Word, hom_value
 
-_LETTER = {(x.base, x.sign): x for x in LETTERS}
-C_POS = _LETTER["c", 1]
-B_NEG = _LETTER["b", -1]
+C_POS = LETTER_OF["c", 1]
+B_NEG = LETTER_OF["b", -1]
 
 
 class Direction(Enum):
@@ -265,7 +264,7 @@ def verify_factorization(
 def letters_factorization(u: Word) -> Factorization:
     """The trivial witness spelling u letter by letter."""
     return Factorization(
-        tuple((_LETTER[base, 1 if exp > 0 else -1], abs(exp)) for base, exp in u.runs)
+        tuple((LETTER_OF[base, 1 if exp > 0 else -1], abs(exp)) for base, exp in u.runs)
     )
 
 

@@ -9,12 +9,15 @@ first time they are asked for. The product works on runs alone
 (``mul_runs``), so a caller that keeps run tuples, as the search engines
 do, multiplies without building a Word; ``seam`` says how many letters
 cancel where two run sequences meet.
+
+The six standard letters are ``Letter`` instances, each built once at
+import: ``Letter(base, sign)`` looks the stored one up, so letters compare
+by identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionViolated, WordSyntaxError
@@ -260,26 +263,60 @@ class Word:
 IDENTITY = Word(())
 
 
-@dataclass(frozen=True)
 class Letter:
-    """One of the six standard letters."""
+    """One of the six standard letters.
+
+    There are exactly six instances, built once at import in the order of
+    ``LETTERS``. ``Letter(base, sign)`` returns the stored one from
+    ``LETTER_OF`` and raises ValueError for anything else, so two letters
+    are equal only when they are the same object: equality and hash are
+    the identity's. A letter cannot be changed, and ``copy``, ``deepcopy``
+    and ``pickle`` give back the same instance. ``word()`` is the one
+    stored one-letter Word.
+    """
+
+    __slots__ = ("base", "sign", "_word")
 
     base: str
     sign: int
 
-    def __post_init__(self):
-        if self.base not in BASES or self.sign not in (1, -1):
-            raise ValueError(f"bad letter ({self.base!r}, {self.sign})")
+    def __new__(cls, base: str, sign: int) -> "Letter":
+        try:
+            return LETTER_OF[base, sign]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            raise ValueError(f"bad letter ({base!r}, {sign})") from None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a letter is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a letter is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Letter, (self.base, self.sign)
 
     def word(self) -> Word:
-        return Word(((self.base, self.sign),))
+        return self._word
+
+    def __repr__(self) -> str:
+        return f"Letter(base={self.base!r}, sign={self.sign!r})"
 
     def __str__(self) -> str:
         return self.base if self.sign == 1 else f"{self.base}^-1"
 
 
+def _new_letter(base: str, sign: int) -> Letter:
+    letter = object.__new__(Letter)
+    object.__setattr__(letter, "base", base)
+    object.__setattr__(letter, "sign", sign)
+    object.__setattr__(letter, "_word", Word(((base, sign),)))
+    return letter
+
+
 #: The standard letters in their canonical enumeration order.
-LETTERS = tuple(Letter(b, s) for b in BASES for s in (1, -1))
+LETTERS = tuple(_new_letter(b, s) for b in BASES for s in (1, -1))
+#: Each letter by (base, sign); ``Letter(base, sign)`` reads this table.
+LETTER_OF: dict[tuple[str, int], Letter] = {(x.base, x.sign): x for x in LETTERS}
 
 
 class AbelianVector(NamedTuple):

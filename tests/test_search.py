@@ -962,11 +962,18 @@ class TestPartialExpansion:
     cost, path and node count, with families left out whole on the way.
     The build checks and the random words apply to best-first."""
 
+    # base-2 block words with letters after the block, on whose returned
+    # path lies a state reached from two parents at one cost: the path
+    # changes if the later parent wins the tie
+    TIES = tuple(
+        Word.parse(text)
+        for text in ("c^2 a^4 b^4 c b a c^-1", "c^2 a^4 b^4 a b a^-1", "c a^4 b^4 c^2 b a b^-1")
+    )
     # (move set, small and large node budgets, extra targets): the index-2
     # family makes the full-expansion references cost milliseconds per
     # node, so its large budget stays low; the chains run into it
     CASES = [
-        ((2, 0), (3, 100_000), ()),
+        ((2, 0), (3, 100_000), TIES),
         ((2, 40), (3, 60), index2_targets()),
         ((3, 0), (3, 100_000), ()),
     ]

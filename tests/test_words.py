@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import threading
 
@@ -11,8 +13,10 @@ from wordweight.words import (
     HOM_B_MINUS_C,
     HOM_C,
     IDENTITY,
+    LETTERS,
     POW_RUN_LIMIT,
     AbelianVector,
+    Letter,
     Word,
     hom_value,
     mul_runs,
@@ -366,3 +370,52 @@ class TestCachedLetterData:
         assert seam((a,), (("a", 2),)) == (1, ("a", big + 2), 0)
         assert seam((a,), (("b", 2),)) == (0, None, 0)
         assert seam((), (a,)) == (0, None, 0)
+
+
+class TestLetter:
+    ORDER = [("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1), ("c", -1)]
+
+    def test_construction_returns_the_stored_instance(self):
+        # the search's move order and the benchmark's draws follow LETTERS
+        assert [(l.base, l.sign) for l in LETTERS] == self.ORDER
+        for i, (base, sign) in enumerate(self.ORDER):
+            assert Letter(base, sign) is LETTERS[i]
+            assert words.LETTER_OF[base, sign] is LETTERS[i]
+
+    def test_inverse_by_sign(self):
+        for l in LETTERS:
+            inverse = Letter(l.base, -l.sign)
+            assert inverse is not l and Letter(inverse.base, -inverse.sign) is l
+            assert (l.word() * inverse.word()).is_identity()
+
+    @pytest.mark.parametrize(
+        "base, sign",
+        [("d", 1), ("a", 0), ("a", 2), (None, 1), ("a", None), ([1], 1), ("b", [1])],
+    )
+    def test_bad_letters_raise(self, base, sign):
+        with pytest.raises(ValueError, match="bad letter"):
+            Letter(base, sign)
+
+    def test_immutable(self):
+        l = LETTERS[0]
+        for name in ("base", "sign", "other"):
+            with pytest.raises(AttributeError):
+                setattr(l, name, "b")
+            with pytest.raises(AttributeError):
+                delattr(l, name)
+        assert (l.base, l.sign) == ("a", 1)
+
+    def test_copies_are_the_same_object(self):
+        for l in LETTERS:
+            assert copy.copy(l) is l and copy.deepcopy(l) is l
+            assert pickle.loads(pickle.dumps(l)) is l
+        assert copy.deepcopy(list(LETTERS)) == list(LETTERS)
+
+    def test_text(self):
+        assert [str(l) for l in LETTERS] == ["a", "a^-1", "b", "b^-1", "c", "c^-1"]
+        assert repr(Letter("b", -1)) == "Letter(base='b', sign=-1)"
+
+    def test_word_is_stored(self):
+        for l in LETTERS:
+            assert l.word() is l.word()
+            assert l.word() == Word(((l.base, l.sign),))
