@@ -6,21 +6,17 @@ powers of e. Arithmetic keeps that form: scalars are (rational, integer
 e-exponent) pairs, general quantities are formal term lists. Equalities
 are decided structurally (e is transcendental, so equal values have equal
 term lists). The sign of a sum, and so every inequality, is decided
-exactly: first by terms of one sign, then by a dominant-term test (the
-term at the largest exponent outweighs a bound on all the others, see
-``ExpSum.sign``), and only what that leaves open by interval evaluation at
-increasing precision, which always terminates on distinct values.
-
-mpmath is imported inside the three functions that evaluate floats or
-intervals, so that importing the library does not load it (about 4 MB of
-resident memory) for callers that never reach them, such as length
-searches.
+exactly from integer fixed-point bounds on the sum, refined at doubling
+precision until they exclude 0 (see ``ExpSum.sign``); floats come from
+the same bounds, refined until both ends round to one float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionViolated, UnknownLength
@@ -67,7 +63,7 @@ class ExpScalar:
         return self.mantissa == 0
 
     def to_float(self) -> float:
-        """Float value; may under/overflow to 0.0 or inf for huge exponents."""
+        """Correctly rounded float value, as ``ExpSum.to_float``."""
         return ExpSum.of(self).to_float()
 
     def __str__(self) -> str:
@@ -91,39 +87,65 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-def _interval_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
-    """Sign of a nonempty sum of m*e^E terms with mixed signs.
+_PRECISIONS = [64 << i for i in range(11)]  # 64 to 2^16 bits
 
-    Interval evaluation at doubling precision. Each interval encloses the
-    true sum, so one wholly above or below zero proves the sign; a nonzero
-    such sum always resolves eventually because e is transcendental.
+
+@cache
+def _e_bounds(p: int, inverse: bool) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^p e <= hi, or 2^p / e with ``inverse``.
+
+    The series of +-1/k! is summed in integers at q = p + 32 bits: t_0 =
+    2^q and t_k = t_(k-1) // k, up to the first t_K = 0. The error
+    2^q/k! - t_k lies in [0, 2), since it is below 1 plus the previous
+    error over k, so the K summed terms are off by less than 2K in all.
+    At K, 2^q/K! < 2 and the terms fall by a factor K + 1 or more, so the
+    tail is below 4 for e and, alternating, below 2 for 1/e. The total is
+    thus within 2K + 4 of 2^q e^(+-1), and shifting that interval down by
+    32 bits, rounding outward, keeps it. The cache holds one pair per
+    precision in use: at most 22 from ``ExpSum``.
     """
-    import mpmath
+    term, total, k = 1 << (p + 32), 0, 0
+    while term:
+        total += -term if inverse and k % 2 else term
+        k += 1
+        term //= k
+    slack = 2 * k + 4
+    return (total - slack) >> 32, -(-(total + slack) >> 32)
 
-    iv = mpmath.iv
-    saved = iv.prec
-    prec = 64
+
+def _exp_bounds(n: int, p: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^p e^n <= hi, by square-and-multiply on the
+    bounds of e (1/e for n < 0). Each product of two fixed-point bounds is
+    shifted back by p bits, down for lo and up for hi."""
+    lo = hi = 1 << p
+    base_lo, base_hi = _e_bounds(p, n < 0)
+    n = abs(n)
+    while n:
+        if n & 1:
+            lo, hi = lo * base_lo >> p, -(-hi * base_hi >> p)
+        n >>= 1
+        base_lo, base_hi = base_lo * base_lo >> p, -(-base_hi * base_hi >> p)
+    return lo, hi
+
+
+def _sum_bounds(terms: Iterable, top: int, p: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^p e^-top sum(m e^E) <= hi, for (E, m) terms
+    with int exponents and Fraction or int mantissas."""
+    lo = hi = 0
+    for exponent, m in terms:
+        e_lo, e_hi = _exp_bounds(exponent - top, p)
+        n, d = m.numerator, m.denominator
+        lo += n * (e_lo if n > 0 else e_hi) // d
+        hi -= -n * (e_hi if n > 0 else e_lo) // d
+    return lo, hi
+
+
+def _fixed_to_float(numerator: int, p: int) -> float:
+    """numerator / 2^p, correctly rounded; +-inf past the float range."""
     try:
-        while prec <= 1 << 16:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for exponent, mantissa in terms:
-                total += (
-                    iv.mpf(mantissa.numerator)
-                    / iv.mpf(mantissa.denominator)
-                    * iv.exp(iv.mpf(exponent))
-                )
-            if total > 0:
-                return 1
-            if total < 0:
-                return -1
-            prec *= 2
-    finally:
-        iv.prec = saved
-    raise ArithmeticError("interval sign did not resolve; terms may be equal")
-
-
-_TWO_FIFTHS = Fraction(2, 5)  # below 1/e, so (2/5)^d bounds e^-d for d >= 0
+        return numerator / (1 << p)
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -196,35 +218,38 @@ class ExpSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _bounds(self) -> Iterator[tuple[int, int, int, int]]:
+        """(p, top, lo, hi) for p = 64, 128, ... bits: ``_sum_bounds`` of
+        the normal form at its largest exponent top (0 for the empty sum,
+        whose bounds are exactly 0). ArithmeticError past 2^16 bits."""
+        s = self if self.is_normal() else ExpSum.from_terms(self.terms)
+        top = s.terms[0][0] if s.terms else 0
+        for p in _PRECISIONS:
+            yield p, top, *_sum_bounds(s.terms, top, p)
+        raise ArithmeticError("bounds did not resolve within 2^16 bits")
+
     def sign(self) -> int:
         """Sign of the sum, decided exactly.
 
-        A sum whose terms share one sign has that sign. Otherwise the
-        first term (E0, m0), which ``from_terms`` puts at the largest
-        exponent, decides when
+        A sum that is not normal is normalised first, so terms that cancel
+        give 0. With top the largest exponent, ``_sum_bounds`` brackets
+        2^p e^-top times the sum between integers lo <= hi, at p = 64, 128,
+        ... bits, until lo > 0 proves the sum positive, hi < 0 proves it
+        negative or lo = hi gives its value.
 
-            |m0| > sum over the other terms of |m_i| (2/5)^min(E0 - E_i, 64).
-
-        Soundness: with every gap d_i = E0 - E_i >= 0, e > 5/2 gives
-        e^-d <= (2/5)^d <= (2/5)^min(d, 64), so the other terms together
-        are smaller in size than |m0| e^E0 and cannot change its sign. A
-        gap of 0 counts at full size, so repeated exponents in a hand-built
-        sum stay sound; a negative gap (a hand-built sum out of order) skips
-        the test. The cap keeps a gap of 10^5 from building huge powers.
-        What the test leaves open goes to ``_interval_sign``.
+        Soundness: ``_e_bounds`` encloses 2^p e and 2^p / e, and each
+        product and quotient after it rounds outward, so [lo, hi] contains
+        2^p e^-top times the sum at every p. Termination: every power of e
+        in the bracket is at most 1, so its width stays below a bound set
+        by the mantissas, whatever p. A normal sum with terms is a nonzero
+        polynomial in 1/e with rational coefficients, so its value is not
+        0, as e is transcendental (Hermite, 1873), and once 2^p times that
+        value exceeds the width, the bracket excludes 0. A sum that has not
+        resolved at 2^16 bits raises ArithmeticError.
         """
-        if not self.terms:
-            return 0
-        if all(m > 0 for _, m in self.terms):
-            return 1
-        if all(m < 0 for _, m in self.terms):
-            return -1
-        (top, m0), rest = self.terms[0], self.terms[1:]
-        if all(e <= top for e, _ in rest):
-            tail = sum(abs(m) * _TWO_FIFTHS ** min(top - e, 64) for e, m in rest)
-            if abs(m0) > tail:
-                return 1 if m0 > 0 else -1
-        return _interval_sign(self.terms)
+        for _, _, lo, hi in self._bounds():
+            if lo > 0 or hi < 0 or lo == hi:
+                return (lo > 0) - (hi < 0)
 
     def __abs__(self) -> "ExpSum":
         return self if self.sign() >= 0 else -self
@@ -258,16 +283,22 @@ class ExpSum:
         return None
 
     def to_float(self) -> float:
-        """Evaluation with relative error well under 1e-12 (80-bit floats)."""
-        if not self.terms:
-            return 0.0
-        import mpmath
-
-        with mpmath.workprec(80):
-            total = mpmath.mpf(0)
-            for e, m in self.terms:
-                total += mpmath.mpf(m.numerator) / m.denominator * mpmath.exp(e)
-            return float(total)
+        """The value correctly rounded to a float: +-inf past the float
+        range, +-0.0 below it. The bounds of ``sign``, times bounds on
+        e^top, are refined until both ends round to one float and the sign
+        is settled."""
+        for p, top, lo, hi in self._bounds():
+            # once the sign is settled, log2 |value| is at least the bits of
+            # the end nearer 0, less p + 1, plus top log2(e) > 1.4426 top:
+            # past 1024 the float is inf, without building e^top for a huge top
+            near = lo if lo > 0 else -hi
+            if top > 0 and near > 0 and near.bit_length() + top * 1.4426 > p + 1025:
+                return math.inf if lo > 0 else -math.inf
+            e_lo, e_hi = _exp_bounds(top, p)
+            low = _fixed_to_float(lo * (e_lo if lo > 0 else e_hi), 2 * p)
+            high = _fixed_to_float(hi * (e_hi if hi > 0 else e_lo), 2 * p)
+            if low == high and (lo > 0) == (hi > 0):
+                return low
 
     def __str__(self) -> str:
         if not self.terms:
@@ -429,14 +460,20 @@ def vector_to_literal(f: WeightedVector) -> list[dict]:
 def vector_from_literal(
     provider: WeightProvider, items: list[dict]
 ) -> WeightedVector:
-    """Parse the wire form; repeated words accumulate. The mantissa is a
-    "p/q" string with q != 0 or an int and ``exp`` an int: ValueError names
-    the item otherwise, since a float or bool would be read as a different
-    number and a string exponent is not one."""
+    """Parse the wire form; repeated words accumulate. Each item is a dict
+    with a ``word`` string, a ``mantissa`` that is a "p/q" string with
+    q != 0 or an int, and an int ``exp``: ValueError names the item
+    otherwise, since a float or bool would be read as a different number
+    and a string exponent is not one. A malformed word raises
+    WordSyntaxError, a ValueError."""
     entries: dict[Word, ExpSum] = {}
     for i, item in enumerate(items):
-        where = f"item {i} ({item['word']!r})"
-        exponent, raw = item["exp"], item["mantissa"]
+        if not isinstance(item, dict) or {"word", "mantissa", "exp"} - item.keys():
+            raise ValueError(f"item {i}: needs word, mantissa and exp, got {item!r}")
+        word, exponent, raw = item["word"], item["exp"], item["mantissa"]
+        if type(word) is not str:
+            raise ValueError(f"item {i}: word must be a string, got {word!r}")
+        where = f"item {i} ({word!r})"
         if type(exponent) is not int:
             raise ValueError(f"{where}: exp must be an integer, got {exponent!r}")
         try:
@@ -445,7 +482,7 @@ def vector_from_literal(
             raise ValueError(
                 f"{where}: mantissa must be a 'p/q' string, got {raw!r}"
             ) from None
-        w = Word.parse(item["word"])
+        w = Word.parse(word)
         term = ExpSum.of(ExpScalar(mantissa, exponent))
         entries[w] = entries.get(w, ExpSum()) + term
     return WeightedVector(provider, entries)
@@ -644,19 +681,19 @@ def _int_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def _fraction_root(m: Fraction, k: int) -> tuple[Fraction | float, bool]:
-    num = _int_root(m.numerator, k)
-    den = _int_root(m.denominator, k)
-    if num is not None and den is not None:
-        return Fraction(num, den), True
-    return float(m) ** (1.0 / k), False
+def _fraction_root(m: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of m >= 0, or None."""
+    num, den = _int_root(m.numerator, k), _int_root(m.denominator, k)
+    return None if num is None or den is None else Fraction(num, den)
 
 
 def spectral_probe(f: WeightedVector, K: int) -> list[NormRoot]:
     """Norms of the convolution powers, each taken to the 1/k power.
 
     A quasi-nilpotent element drives these to zero; a sequence pinned at
-    one certifies the opposite.
+    one certifies the opposite. A root is exact when the norm is one term
+    whose mantissa has an exact k-th root; otherwise it is the float root
+    of the norm over e^top, top its largest exponent.
     """
     roots: list[NormRoot] = []
     power = f
@@ -664,21 +701,10 @@ def spectral_probe(f: WeightedVector, K: int) -> list[NormRoot]:
         if k > 1:
             power = convolve(power, f)
         norm = omega_norm(power)
-        if norm.is_zero():
-            roots.append(NormRoot(Fraction(0), Fraction(0), True))
-            continue
-        if len(norm.terms) == 1:
-            exponent, mantissa = norm.terms[0]
-            root_m, exact = _fraction_root(mantissa, k)
-            roots.append(NormRoot(root_m, Fraction(exponent, k), exact))
-        else:
-            top = norm.terms[0][0]
-            import mpmath
-
-            with mpmath.workprec(80):
-                s = mpmath.mpf(0)
-                for e, m in norm.terms:
-                    s += mpmath.mpf(m.numerator) / m.denominator * mpmath.exp(e - top)
-                root = float(s ** (mpmath.mpf(1) / k))
-            roots.append(NormRoot(root, Fraction(top, k), False))
+        # the zero norm is the one term 0 e^0, whose root is exact
+        top, mantissa = norm.terms[0] if norm.terms else (0, Fraction(0))
+        root = _fraction_root(mantissa, k) if len(norm.terms) <= 1 else None
+        if root is None:
+            root = norm.shifted(-top).to_float() ** (1 / k)
+        roots.append(NormRoot(root, Fraction(top, k), type(root) is Fraction))
     return roots

@@ -1,6 +1,13 @@
+import functools
+import math
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +20,8 @@ from wordweight.algebra import (
     ONE,
     WeightProvider,
     WeightedVector,
-    _interval_sign,
+    _exp_bounds,
+    _sum_bounds,
     block_word,
     chain_prefixes,
     chain_product,
@@ -53,6 +61,69 @@ def exact2():
     return WeightProvider(P2, mode="exact")
 
 
+@pytest.fixture(scope="module")
+def mpmath():
+    """The reference the fixed-point bounds are checked against; the
+    library itself never imports it."""
+    return pytest.importorskip("mpmath")
+
+
+def interval_sign(mpmath, terms) -> int:
+    """Sign of a sum of m*e^E terms by mpmath interval arithmetic at
+    doubling precision: an interval wholly above or below 0 proves it."""
+    iv = mpmath.iv
+    saved = iv.prec
+    try:
+        for prec in (64 << i for i in range(11)):
+            iv.prec = prec
+            total = iv.mpf(0)
+            for exponent, m in terms:
+                m = iv.mpf(m.numerator) / iv.mpf(m.denominator)
+                total += m * iv.exp(iv.mpf(exponent))
+            if total > 0:
+                return 1
+            if total < 0:
+                return -1
+    finally:
+        iv.prec = saved
+    raise ArithmeticError("interval sign did not resolve")
+
+
+# S_N < e < S_N + 1/(N! N) with S_N the sum of 1/k! for k <= N; at
+# N = 200, 1/(N! N) < 2^-1200, far inside 2^-512 e^-60
+E_UNDER = sum(Fraction(1, math.factorial(k)) for k in range(201))
+E_OVER = E_UNDER + Fraction(1, math.factorial(200) * 200)
+
+
+@functools.cache
+def rational_e_power(n: int) -> tuple[Fraction, Fraction]:
+    """Rationals under and over e^n."""
+    return (E_UNDER**n, E_OVER**n) if n >= 0 else (E_OVER**n, E_UNDER**n)
+
+
+def hand_built(sign=0):
+    """ExpSum terms as a caller may write them: out of order, repeated
+    exponents, terms that cancel to zero, int mantissas. With ``sign``
+    +-1, every mantissa is nonzero and of that sign."""
+    mantissa = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+    if sign:
+        mantissa = mantissa.filter(bool).map(lambda m: sign * abs(m))
+    terms = st.lists(st.tuples(st.integers(-3, 3), mantissa), max_size=4)
+    return terms.map(lambda t: ExpSum(tuple(t)))
+
+
+MISSING = object()  # a literal field left out
+
+MIXED_SUMS = st.lists(
+    st.tuples(
+        st.integers(-200, 200) | st.integers(-(10**5), 10**5),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
 class TestExpScalar:
     def test_normalizes_zero(self):
         assert ExpScalar(Fraction(0), 17) == ExpScalar(Fraction(0), 0)
@@ -88,6 +159,24 @@ class TestExpScalar:
         assert abs(ExpScalar(Fraction(2), -1).to_float() - 2 / math.e) < 1e-14
         assert ExpScalar(Fraction(1), -100000).to_float() == 0.0
 
+    def test_to_float_at_the_edges_of_the_float_range(self):
+        # e^709.78 is the largest float, e^-744.44 the least
+        assert math.isclose(ExpScalar(1, 709).to_float(), math.exp(709), rel_tol=1e-15)
+        assert ExpScalar(1, 710).to_float() == math.inf
+        assert ExpScalar(-3, 10**5).to_float() == -math.inf
+        assert ExpScalar(1, -744).to_float() > 0
+        assert ExpScalar(1, -745).to_float() == 5e-324
+        for scalar, zero in [(ExpScalar(1, -746), 0.0), (ExpScalar(-1, -746), -0.0)]:
+            assert math.copysign(1, scalar.to_float()) == math.copysign(1, zero)
+            assert scalar.to_float() == 0
+        # the top term alone would overflow: e^710 - 2 e^709 = (e - 2) e^709
+        near_max = ExpSum.from_terms([(710, 1), (709, -2)]).to_float()
+        assert math.isclose(near_max, (math.e - 2) * math.exp(709), rel_tol=1e-14)
+        assert ExpSum.from_terms([(800, 1), (799, -2)]).to_float() == math.inf
+        # a huge top exponent gives inf without a 1.4 * 5^13-bit power of e
+        assert ExpScalar(Fraction(1, 10**6), 5**13).to_float() == math.inf
+        assert ExpSum.from_terms([(5**13, 1), (5**13 - 1, -3)]).to_float() == -math.inf
+
 
 class TestExpSum:
     def test_merge_and_cancel(self):
@@ -109,69 +198,102 @@ class TestExpSum:
         assert ExpSum.from_terms([(1, Fraction(1)), (0, Fraction(-2))]).sign() == 1
         assert ExpSum.from_terms([(1, Fraction(1)), (0, Fraction(-3))]).sign() == -1
 
-    @pytest.fixture
-    def interval_calls(self, monkeypatch):
-        calls = []
-
-        def counting(terms):
-            calls.append(terms)
-            return _interval_sign(terms)
-
-        monkeypatch.setattr(algebra, "_interval_sign", counting)
-        return calls
-
     @pytest.mark.parametrize(
-        "terms, sign, intervals",
+        "terms, sign",
         [
-            # 1 > 3 * 2/5 fails, though e - 3 < 0: only intervals can tell
-            ([(1, 1), (0, -3)], -1, 1),
-            # e - 68/25 < 0, though 1 > 68/25 * r for any ratio r < 1/2.72
-            ([(1, 1), (0, Fraction(-68, 25))], -1, 1),
-            # 1 > 2 * 2/5: e - 2 > 0 without intervals
-            ([(1, 1), (0, -2)], 1, 0),
-            # 1/2 > 1/2 * (2/5)^2
-            ([(0, Fraction(-1, 2)), (-2, Fraction(1, 2))], -1, 0),
-            # a gap of 10^5 is capped at 64
-            ([(10**5, 1), (0, -(10**20))], 1, 0),
-            ([(10**5, 1), (0, -(5**64))], 1, 1),
+            # e - 3 and e - 68/25 lie within 0.3 and 0.002 of zero
+            ([(1, 1), (0, -3)], -1),
+            ([(1, 1), (0, Fraction(-68, 25))], -1),
+            ([(1, 1), (0, -2)], 1),
+            ([(0, Fraction(-1, 2)), (-2, Fraction(1, 2))], -1),
+            # at a gap of 10^5 the lower term's bounds are 0 and 1 in
+            # units of 2^-p, so 5^64 ~ 2^149 needs p = 256
+            ([(10**5, 1), (0, -(10**20))], 1),
+            ([(10**5, 1), (0, -(5**64))], 1),
         ],
         ids=["e-3", "e-2.72", "e-2", "half-gap-2", "capped-gap", "capped-gap-too-heavy"],
     )
-    def test_dominant_term_decides_before_intervals(
-        self, interval_calls, terms, sign, intervals
-    ):
+    def test_dominant_term_decides_before_intervals(self, terms, sign):
+        # sums near the edge of being decided by their largest term alone
         s = ExpSum.from_terms((e, Fraction(m)) for e, m in terms)
         assert s.sign() == sign
-        assert len(interval_calls) == intervals
+        assert (-s).sign() == -sign
 
-    def test_hand_built_sums_stay_sound(self, interval_calls):
-        # repeated exponents count at full size: 1 - 1 + e^-1 > 0
+    def test_hand_built_sums_stay_sound(self):
+        # repeated exponents: 1 - 1 + e^-1 > 0
         repeated = ExpSum(((0, Fraction(1)), (0, Fraction(-1)), (-1, Fraction(1))))
         assert repeated.sign() == 1
-        # out of order, the first term is not the largest: 13/5 - e < 0,
-        # though 13/5 > (2/5)^-1
+        # out of order, the first term is not the largest: 13/5 - e < 0
         unsorted = ExpSum(((0, Fraction(13, 5)), (1, Fraction(-1))))
         assert unsorted.sign() == -1
-        assert len(interval_calls) == 2
+        # terms that cancel to exactly 0, with int mantissas too
+        assert ExpSum(((0, Fraction(1)), (0, Fraction(-1)))).sign() == 0
+        assert ExpSum(((3, 2), (0, 1), (3, -2), (0, -1))).sign() == 0
+        assert ExpSum(((0, Fraction(1)), (0, Fraction(-1)))).to_float() == 0.0
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(-200, 200) | st.integers(-(10**5), 10**5),
-                st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3),
-            ),
-            min_size=2,
-            max_size=5,
-        )
-    )
+    @given(hand_built())
+    @example(ExpSum(((0, Fraction(1)), (0, Fraction(-1)))))
+    @settings(max_examples=200, deadline=None)
+    def test_hand_built_sign_is_the_normal_sign(self, s):
+        normal = ExpSum.from_terms(s.terms)
+        assert s.sign() == normal.sign()
+        assert s.to_float() == normal.to_float()
+
+    @given(MIXED_SUMS)
     @example([(1, Fraction(1)), (0, Fraction(-68, 25))])
     @example([(3, Fraction(-1)), (0, Fraction(201, 10))])
     @settings(max_examples=200, deadline=None)
-    def test_sign_agrees_with_intervals(self, terms):
+    def test_sign_agrees_with_intervals(self, mpmath, terms):
         s = ExpSum.from_terms(terms)
         assume(len(s.terms) >= 2)
         assume(min(m for _, m in s.terms) < 0 < max(m for _, m in s.terms))
-        assert s.sign() == _interval_sign(s.terms)
+        assert s.sign() == interval_sign(mpmath, s.terms)
+
+    @given(MIXED_SUMS)
+    @settings(max_examples=200, deadline=None)
+    def test_to_float_agrees_with_mpmath(self, mpmath, terms):
+        # at 256 bits the double rounding of float() could differ from
+        # correct rounding only within 2^-200 of a rounding boundary
+        s = ExpSum.from_terms(terms)
+        with mpmath.workprec(256):
+            value = mpmath.fsum(
+                mpmath.mpf(m.numerator) / m.denominator * mpmath.exp(e)
+                for e, m in s.terms
+            )
+            expected = float(value)
+        assert s.to_float() == expected
+        assert math.copysign(1, s.to_float()) == math.copysign(1, expected)
+
+    def test_exp_bounds_contain_e_powers(self):
+        for p in (64, 128, 512):
+            for n in range(-60, 61):
+                lo, hi = _exp_bounds(n, p)
+                under, over = rational_e_power(n)
+                assert Fraction(lo, 1 << p) <= under and over <= Fraction(hi, 1 << p)
+                # and the bounds are tight: a few units in the last place
+                assert hi - lo <= 4 + (hi >> (p - 8))
+
+    def test_sum_bounds_contain_the_sum(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                m = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 999))
+                terms.append((-rng.randint(0, 40), m))
+            under = sum(m * rational_e_power(e)[m < 0] for e, m in terms)
+            over = sum(m * rational_e_power(e)[m > 0] for e, m in terms)
+            for p in (64, 128, 512):
+                lo, hi = _sum_bounds(terms, 0, p)
+                assert Fraction(lo, 1 << p) <= under and over <= Fraction(hi, 1 << p)
+
+    def test_to_float_waits_for_the_sign(self):
+        # 1 - S_200/e > 0 lies within 2^-1200 of 0, so up to 1024 bits its
+        # bracket holds 0, and at 1024 bits both ends of e^-800 times it
+        # round to a zero, -0.0 and 0.0
+        tiny = ExpSum.from_terms([(-800, 1), (-801, -E_UNDER)])
+        for s, sign in [(tiny, 1), (-tiny, -1)]:
+            assert s.sign() == sign
+            assert s.to_float() == 0 and math.copysign(1, s.to_float()) == sign
 
     def test_abs_flips_negative_sums(self):
         s = ExpSum.from_terms([(0, Fraction(-2)), (-1, Fraction(1))])
@@ -188,17 +310,6 @@ class TestExpSum:
         s = ExpSum.from_terms([(2, Fraction(1)), (0, Fraction(-1, 3))])
         expected = math.e**2 - 1 / 3
         assert abs(s.to_float() - expected) / expected < 1e-12
-
-
-def hand_built(sign=0):
-    """ExpSum terms as a caller may write them: out of order, repeated
-    exponents, terms that cancel to zero, int mantissas. With ``sign``
-    +-1, every mantissa is nonzero and of that sign."""
-    mantissa = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
-    if sign:
-        mantissa = mantissa.filter(bool).map(lambda m: sign * abs(m))
-    terms = st.lists(st.tuples(st.integers(-3, 3), mantissa), max_size=4)
-    return terms.map(lambda t: ExpSum(tuple(t)))
 
 
 def all_fractions(s: ExpSum) -> bool:
@@ -467,13 +578,46 @@ class TestVectorLiteral:
             # Fraction() raises ZeroDivisionError and a bare ValueError here
             ("mantissa", "1/0", "item 1 ('c'): mantissa must be a 'p/q' string, got '1/0'"),
             ("mantissa", "abc", "item 1 ('c'): mantissa must be a 'p/q' string, got 'abc'"),
+            # KeyError, TypeError and AttributeError named no item
+            *(
+                pytest.param(
+                    field,
+                    MISSING,
+                    f"item 1: needs word, mantissa and exp, got {rest!r}",
+                    id=f"missing-{field}",
+                )
+                for field, rest in [
+                    ("word", {"mantissa": "1/2", "exp": 0}),
+                    ("mantissa", {"word": "c", "exp": 0}),
+                    ("exp", {"word": "c", "mantissa": "1/2"}),
+                ]
+            ),
+            pytest.param(
+                None,
+                ["c", "1/2", 0],
+                "item 1: needs word, mantissa and exp, got ['c', '1/2', 0]",
+                id="item-list",
+            ),
+            pytest.param(
+                None, "c", "item 1: needs word, mantissa and exp, got 'c'", id="item-str"
+            ),
+            pytest.param(
+                "word", 5, "item 1: word must be a string, got 5", id="word-int"
+            ),
+            pytest.param(
+                "word", None, "item 1: word must be a string, got None", id="word-none"
+            ),
         ],
     )
     def test_inexact_fields_are_refused(self, fam5, field, value, message):
-        items = [
-            {"word": "c^2", "mantissa": "1/2", "exp": 0},
-            {"word": "c", "mantissa": "1/2", "exp": 0, field: value},
-        ]
+        second = {"word": "c", "mantissa": "1/2", "exp": 0}
+        if field is None:
+            second = value
+        elif value is MISSING:
+            del second[field]
+        else:
+            second[field] = value
+        items = [{"word": "c^2", "mantissa": "1/2", "exp": 0}, second]
         with pytest.raises(ValueError) as err:
             vector_from_literal(fam5, items)
         assert str(err.value) == message
@@ -582,3 +726,49 @@ class TestSpectralProbe:
                 assert r.mantissa == Fraction(1, 2)
             else:
                 assert abs(r.mantissa - 0.5) < 1e-12
+
+    def test_many_term_norm_has_a_float_root(self, fam5):
+        # f = d(c)/2 + d(c^2)/3, so ||f^k|| = e^k (1/2 + e/3)^k exactly
+        f = WeightedVector.point_mass(fam5, W("c"), ExpScalar(Fraction(1, 2)))
+        f = f + WeightedVector.point_mass(fam5, W("c^2"), ExpScalar(Fraction(1, 3)))
+        for r in spectral_probe(f, 4):
+            assert not r.exact and r.exponent == 2
+            assert math.isclose(r.mantissa, 1 / (2 * math.e) + 1 / 3, rel_tol=1e-14)
+
+
+NO_MPMATH = textwrap.dedent(
+    """
+    import math
+    import sys
+    from fractions import Fraction
+
+    sys.modules["mpmath"] = None  # any import of mpmath now fails
+    from wordweight import cli
+    from wordweight.algebra import (
+        ExpScalar, ExpSum, WeightProvider, WeightedVector, spectral_probe
+    )
+    from wordweight.genset import GenSetParams
+    from wordweight.words import Word
+
+    assert cli.main(["radical-demo", "--j", "2,3", "--r", "2", "--kmax", "5"]) == 0
+    assert ExpSum.from_terms([(1, Fraction(1)), (0, Fraction(-3))]).sign() == -1
+    assert math.isclose(ExpScalar(Fraction(2), -1).to_float(), 2 / math.e)
+    provider = WeightProvider(GenSetParams(base=5, jmin=2))
+    f = WeightedVector.point_mass(provider, Word.parse("c"), ExpScalar(1)) + (
+        WeightedVector.point_mass(provider, Word.parse("c^2"), ExpScalar(1))
+    )
+    assert not any(root.exact for root in spectral_probe(f, 3))
+    """
+)
+
+
+def test_library_never_imports_mpmath():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MPMATH],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
