@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Mapping
 
-from .errors import PreconditionViolated, UnknownLength
+from .errors import PreconditionViolated, UnknownLength, WordSyntaxError
 from .genset import GenSetParams, _check_index, normalize_conjugator, expand_generator
 from .lengths import (
     SearchBudget,
@@ -52,12 +52,6 @@ class ExpScalar:
 
     def __mul__(self, other: "ExpScalar") -> "ExpScalar":
         return ExpScalar(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def __neg__(self) -> "ExpScalar":
-        return ExpScalar(-self.mantissa, self.exponent)
-
-    def __abs__(self) -> "ExpScalar":
-        return ExpScalar(abs(self.mantissa), self.exponent)
 
     def is_zero(self) -> bool:
         return self.mantissa == 0
@@ -465,7 +459,7 @@ def vector_from_literal(
     q != 0 or an int, and an int ``exp``: ValueError names the item
     otherwise, since a float or bool would be read as a different number
     and a string exponent is not one. A malformed word raises
-    WordSyntaxError, a ValueError."""
+    WordSyntaxError, a ValueError, whose message names the item too."""
     entries: dict[Word, ExpSum] = {}
     for i, item in enumerate(items):
         if not isinstance(item, dict) or {"word", "mantissa", "exp"} - item.keys():
@@ -482,7 +476,11 @@ def vector_from_literal(
             raise ValueError(
                 f"{where}: mantissa must be a 'p/q' string, got {raw!r}"
             ) from None
-        w = Word.parse(word)
+        try:
+            w = Word.parse(word)
+        except WordSyntaxError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
         term = ExpSum.of(ExpScalar(mantissa, exponent))
         entries[w] = entries.get(w, ExpSum()) + term
     return WeightedVector(provider, entries)

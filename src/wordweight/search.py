@@ -30,6 +30,14 @@ is built before a built entry is popped, and ``seq``, the push order,
 settles ties between deferred children; the pops, parents and paths are
 those of building every passing child at once (``best_first``).
 
+At base 2 best-first also reads a bound that sees the order of the
+letters: d_G of a state's image in a finite quotient G of F_3 that sends
+every expansion to 1 (``Quotient``). It reads it only when a state
+reaches the top of the heap and h is below both the letter count and
+the diameter of G, and an entry it raises is pushed back at its new f
+(lazy A*). Deepening keeps the relaxation alone, so the dual algorithm
+checks each engine against one that does not share the bound.
+
 The goal test is a lookup, not a move: a state is one move from the
 identity exactly when it is the expansion of some move, and the move
 set's goal table (``MoveSet.goals``) maps the runs of each expansion to
@@ -78,10 +86,12 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
+from operator import itemgetter
 
 from .errors import BudgetExhausted
 from .genset import (
@@ -239,6 +249,91 @@ class MoveSet:
     families: tuple[int, ...]  # indices of the indexed generators, ascending
     goals: dict[Runs, Gen]  # an expansion's runs -> its generator
     groups: tuple[Family, ...]  # the listed families, in the order of ``families``
+    base: int  # the base of the parameters it was listed for
+
+
+# The images of a, b and c, as permutations i -> p[i], of the finite
+# quotient that best-first uses at each base that has one (``quotient``).
+# The base-2 one was picked among 24 random candidates, involutions for a
+# and b, by the best-first nodes it saves on base-2 block words.
+_QUOTIENT_IMAGES = {
+    2: {"a": (6, 1, 2, 3, 4, 5, 0), "b": (5, 1, 2, 6, 4, 0, 3), "c": (0, 6, 5, 2, 1, 4, 3)},
+}
+
+
+class Quotient:
+    """A homomorphism phi from F_3 onto a finite group G, with the word
+    length d_G on G over the images of the letters and their inverses.
+
+    If phi sends every expansion of the move set to 1, then d_G(phi(r))
+    is a lower bound on the length of r over the move set: a
+    factorization of r into n symbols maps to a product of its letters'
+    images, the expansions dropping out, so it spells phi(r) with at most
+    n images of letters. At base 2, phi(a) and phi(b) are involutions and
+    an index-j expansion v b^(2^(2j-1)) v^-1 a^(2^(2j)) b^(2^(2j)) has
+    even exponents on b and a for every j >= 1, so it maps to
+    phi(v) phi(v)^-1 = 1 whatever v and ``jmin`` are. Its phi(c) has
+    order 6, and the three images generate the symmetric group on 7
+    points: 5,040 elements, diameter 10.
+
+    G is held by element index, the identity 0: ``rows[base][k]`` maps
+    each index g to that of phi(base)^k g, for k below the order of
+    phi(base), and ``dist`` holds d_G at each index. A plain class, as a
+    dataclass would cost the import a generated ``__init__``.
+    """
+
+    __slots__ = ("rows", "dist", "diameter")
+
+    def __init__(self, rows: dict[str, tuple[array, ...]], dist: bytes):
+        self.rows, self.dist, self.diameter = rows, dist, max(dist)
+
+    def distance(self, runs: Runs) -> int:
+        """d_G(phi(r)) for the reduced runs of r: one row lookup per run,
+        from the last run to the first."""
+        g = 0
+        rows = self.rows
+        for base, exp in reversed(runs):
+            powers = rows[base]
+            g = powers[exp % len(powers)][g]
+        return self.dist[g]
+
+
+@lru_cache(maxsize=None)
+def quotient(base: int) -> Quotient | None:
+    """The quotient that best-first uses at ``base``, or None if it has
+    none. Built on first use by one breadth-first search over G from the
+    identity, which numbers the elements and gives d_G and the left
+    multiplication by each letter's image; a row for phi(x)^k is k of
+    them in turn."""
+    images = _QUOTIENT_IMAGES.get(base)
+    if images is None:
+        return None
+    steps = {}  # each letter's image and its inverse -> left multiplication
+    for image in images.values():
+        inverse = tuple(sorted(range(len(image)), key=image.__getitem__))
+        for s in (image, inverse):
+            steps.setdefault(s, array("H"))
+    elements = [tuple(range(len(image)))]
+    index = {elements[0]: 0}
+    dist = bytearray(1)
+    for i, g in enumerate(elements):  # the list grows as it is read
+        after_g = itemgetter(*g)
+        for s, row in steps.items():
+            x = after_g(s)  # s g, acting as g first, then s
+            j = index.get(x)
+            if j is None:
+                j = index[x] = len(elements)
+                elements.append(x)
+                dist.append(dist[i] + 1)
+            row.append(j)
+    one = array("H", range(len(elements)))
+    rows = {}
+    for letter, image in images.items():
+        step, powers = steps[image], [one]
+        while (power := array("H", map(step.__getitem__, powers[-1]))) != one:
+            powers.append(power)
+        rows[letter] = tuple(powers)
+    return Quotient(rows, bytes(dist))
 
 
 @dataclass(frozen=True)
@@ -312,7 +407,7 @@ def build_moves(
             family.append(Move.of(gen, expansion))
         groups.append(Family.of(tuple(family)))
     moves = chain(_LETTER_MOVES, *(fam.moves for fam in groups))
-    moves = MoveSet(tuple(moves), families, goals, tuple(groups))
+    moves = MoveSet(tuple(moves), families, goals, tuple(groups), params.base)
     with _move_sets_lock:
         _move_sets[key] = moves
         while len(_move_sets) > _MOVE_SET_LIMIT:
@@ -437,8 +532,8 @@ def make_heuristic(params: GenSetParams, families: tuple[int, ...]):
 # entry costs at most about 375 bytes (CPython 3.11, 64-bit) while the
 # key's four integers and the value are all below 2^30 in size, so a full
 # memo takes about 12 MB, and the 16 that ``make_heuristic`` keeps at most
-# 200 MB. The largest memo one search is known to need holds 2,743 keys
-# (a^16 b^16 at base 2, 8,421 nodes).
+# 200 MB. The largest memo one search is known to need holds 1,989 keys
+# (best-first on a^16 b^16 at base 2, 5,546 nodes).
 _MEMO_LIMIT = 1 << 15
 
 
@@ -592,9 +687,24 @@ def best_first(
     least cost g so far, its parent and the generator between them, as
     (g, parent, generator); the root's parent is None. A deferred child
     built at a cost no lower than ``best`` holds for it is dropped.
-    Otherwise it enters ``best``, and it is expanded at once if it sorts
-    before every entry left in the heap, and pushed back built if not. A
-    built entry popped at a cost above ``best``'s is stale and skipped.
+    Otherwise it enters ``best``, and it goes on to the quotient gate at
+    once if it sorts before every entry left in the heap, and is pushed
+    back built if not. A built entry popped at a cost above ``best``'s is
+    stale and skipped.
+
+    The quotient bound, read lazily. At base 2 (``quotient``) the state
+    that passes those checks, with runs r, key and cost g, has
+    h = f - g. If h < min(|r|, diam G), d = d_G(phi(r)) is read, and if
+    g + d > f the entry is pushed back built at f' = g + d, or dropped
+    when f' > cap, and not expanded (lazy A*: the costly heuristic is
+    read only when a state reaches the top). The gate loses nothing:
+    h <= |r| always (H(0) = |r|, ``make_heuristic``), h = |r| makes h the
+    length itself, as the letters spell r, and d_G <= diam G, so d
+    exceeds h only inside the gate. d is admissible, as phi sends every
+    expansion to 1, and consistent, as a move changes phi(r) by one
+    letter's image or not at all. So the search is the one that scores
+    every child by h' = max(h, d) when it pushes it (the eager scan),
+    each entry keyed below or at its eager f.
 
     Each child is scored before it is built: its key is the parent's
     abelianisation plus the move's, and the two letter counts less the
@@ -611,24 +721,35 @@ def best_first(
     scan scores nothing past the child it stops at, so the left-out
     children are exactly ones a full scan would have skipped one by one.
 
-    The pops are those of the eager scan, which built each passing child
-    and pushed it built unless ``best`` held it at no greater cost. h is
-    a function of the key, so a state has one letter count and, at one
-    cost, one f by every parent, and it is either always built at push or
-    always deferred. Entries compare by (f, letters) first, and within one
-    (f, letters) () sorts before any runs, so every deferred entry there
-    is built before any built entry there is popped, and is pushed back
-    among them unless it is the least: the built entries are popped by
-    runs, in the eager order. A deferred state reached twice at one cost
-    has two entries with one (f, letters), built in ``seq`` order, which
-    is push order, so the first parent to reach it is its parent, as in
-    the eager scan, and the later entry is dropped, as its eager push
-    was. A state reached at a lower cost has a lower f, so an entry at a
-    higher cost is either built before the lower one is pushed, and then
-    goes stale as its eager entry did, or dropped when built, where its
-    eager entry was stale or never pushed. So the states expanded, their
-    order and parents, the incumbent, the node count, cost and path are
-    those of the eager scan.
+    The expansions are those of the eager scan, which built each child
+    that passed h' and pushed it built at its h' unless ``best`` held it
+    at no greater cost. h and h' are functions of the state, so a state
+    has one letter count and, at one cost, one f and one f' by every
+    parent, and it is either always built at push or always deferred.
+    Entries compare by (f, letters) first, and within one (f, letters)
+    () sorts before any runs, so every deferred entry there is built
+    before any built entry there is popped, and is pushed back among them
+    unless it is the least; a lifted entry is pushed back built at its
+    f', and the gate lets it through when it is popped there. An entry is
+    expanded only at its eager key (f', letters, runs), while every entry
+    left is keyed no lower than it and so is every eager key left: the
+    expansions come in the eager order. A state reached twice at one cost
+    has two entries with one key, built in ``seq`` order, which is push
+    order, so the first parent to reach it is its parent, as in the eager
+    scan, and the later entry is dropped, as its eager push was. A state
+    reached at a lower cost has a lower f, so an entry at a higher cost is
+    either dropped when built, where its eager entry was stale or never
+    pushed, or built before the lower one is pushed. Built entries,
+    pushed back by either rule or at h = 1, then go stale as their eager
+    entries did: no target tried over this package's move sets reaches a
+    state more cheaply after building it, but a move set with a shortcut
+    does (``tests/test_search.py``, ``test_lifted_entry_goes_stale``). An
+    entry lifted above the cap had an eager f' above the limit and was
+    never pushed. One lifted to or above the incumbent was either never
+    pushed or lay in the eager heap at that f'; either way the search
+    ends when it would be popped, with the same result. So the states
+    expanded, their order and parents, the incumbent, the node count,
+    cost and path are those of the eager scan.
 
     Goal test. A state is looked up in the goal table each time it is
     pushed built, the root before the loop, but never a child with h > 1:
@@ -647,12 +768,13 @@ def best_first(
     deferred, enters the heap. Suppose a factorization of c* <= cap
     symbols, with states s_0 = u, ..., s_c* = 1, and an incumbent that
     stays above c* or unset. Then every limit is at least c*, and each
-    s_i with i < c* has f <= i + (c* - i) = c* at cost i, the least cost
-    at which it can be reached. By induction each such s_i is pushed at
-    cost i: s_(i-1) is in the heap at cost i - 1, its least, with
+    s_i with i < c* has f <= f' <= i + (c* - i) = c* at cost i, the least
+    cost at which it can be reached. By induction each such s_i is pushed
+    at cost i: s_(i-1) is in the heap at cost i - 1, its least, with
     f < incumbent, so its entries at that cost are popped before the
     search ends, the first of them is neither dropped nor stale and is
-    expanded, and its scan reaches s_i, as a stop needs limit <= i < c*.
+    expanded, after at most one lift, to f' <= c* <= cap, and its scan
+    reaches s_i, as a stop needs limit <= i < c*.
     Pushing s_(c*-1), an expansion, sets an incumbent of at most c*, a
     contradiction.
 
@@ -687,6 +809,8 @@ def best_first(
         incumbent, last = 1, (start, gen)
     nodes = seq = 0
     no_overshoot = [0]
+    quot = quotient(moves.base)
+    reach = quot.diameter if quot else 0  # d_G is at most this
     while heap:
         entry = heappop(heap)
         f = entry[0]
@@ -704,6 +828,12 @@ def best_first(
             best[runs] = (cost, parent, move.gen)
             if heap and heap[0] < (f, letters, runs):
                 heappush(heap, (f, letters, runs, cost, key))
+                continue
+        if (h_now := f - cost) < reach and h_now < key[3]:
+            lifted = cost + quot.distance(runs)
+            if lifted > f:
+                if lifted <= cap:
+                    heappush(heap, (lifted, key[3], runs, cost, key))
                 continue
         nodes += 1
         if nodes > budget.max_nodes or (

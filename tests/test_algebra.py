@@ -41,6 +41,7 @@ from wordweight.errors import (
     ConstraintViolation,
     PreconditionViolated,
     UnknownLength,
+    WordSyntaxError,
 )
 from wordweight.genset import GenSetParams
 from wordweight.lengths import chain_word, family_length
@@ -564,6 +565,30 @@ class TestVectorLiteral:
         ]
         v = vector_from_literal(fam5, items)
         assert v.entries[W("c")] == ExpSum.of(ONE)
+
+    def test_malformed_word_names_the_item(self, fam5):
+        # Word.parse names the offset; the item is named before it, as
+        # for every other bad field, and the error is still the parser's
+        items = [
+            {"word": "c", "mantissa": "1/2", "exp": 0},
+            {"word": "c^x", "mantissa": "1/2", "exp": 0},
+        ]
+        with pytest.raises(WordSyntaxError) as err:
+            vector_from_literal(fam5, items)
+        assert str(err.value) == "item 1 ('c^x'): bad term 'c^x' (at position 0)"
+        assert err.value.position == 0
+
+    def test_repr_lists_the_support_in_order(self, fam5):
+        # a zero coefficient leaves the support; the identity prints as 1
+        v = WeightedVector(
+            fam5,
+            {
+                W("c^2"): ExpSum.from_terms([(-2, Fraction(1, 2)), (0, Fraction(3))]),
+                IDENTITY: ExpSum.of(ONE),
+                W("c"): ExpSum(),
+            },
+        )
+        assert repr(v) == "WeightedVector({1: 1, c^2: 3 + 1/2*e^-2})"
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -40,7 +40,7 @@ CASES = {
     "xlen_dual_budget": [
         "xlen", "c a^4 b^4 a^-1", *B2, "--max-nodes", "60", "--algorithm", "dual",
     ],
-    # best-first completes in 23 nodes, the deepening cross-check does not
+    # best-first completes in 15 nodes, the deepening cross-check does not
     "xlen_dual_cross_check_budget": [
         "xlen", "c a^4 b^4 c^-1 a", *B2, "--max-nodes", "40", "--algorithm", "dual",
     ],

@@ -16,12 +16,16 @@ on random words, deepening against a plain recursive one."""
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from functools import lru_cache
 from heapq import heappop, heappush
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -387,6 +391,149 @@ class TestHeuristic:
         assert all(make_heuristic(P2, f).cache_info().currsize <= 64 for f in [(1,), (1, 2)])
 
 
+def compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p q: q first, then p."""
+    return tuple(p[i] for i in q)
+
+
+@lru_cache(maxsize=None)
+def quotient_oracle(base: int):
+    """phi and d_G of best-first's quotient at ``base`` from its images
+    alone, apart from the library's tables: phi(u) composes the run
+    powers of the images left to right, and d_G is a breadth-first search
+    that multiplies on the right."""
+    images = search._QUOTIENT_IMAGES[base]
+    one = tuple(range(len(images["a"])))
+    powers = {}  # letter -> the powers of its image, up to its order
+    for letter, image in images.items():
+        seq = [one]
+        while (nxt := compose(seq[-1], image)) != one:
+            seq.append(nxt)
+        powers[letter] = seq
+
+    def phi(u: Word) -> tuple:
+        g = one
+        for letter, exp in u.runs:
+            seq = powers[letter]
+            g = compose(g, seq[exp % len(seq)])
+        return g
+
+    steps = {seq[1] for seq in powers.values()} | {seq[-1] for seq in powers.values()}
+    dist, layer = {one: 0}, [one]
+    while layer:
+        nxt = []
+        for g in layer:
+            for step in steps:
+                x = compose(g, step)
+                if x not in dist:
+                    dist[x] = dist[g] + 1
+                    nxt.append(x)
+        layer = nxt
+    return phi, dist
+
+
+def quotient_distance(base: int):
+    """d_G(phi(w)) from ``quotient_oracle``, or 0 at a base with no
+    quotient."""
+    if base not in search._QUOTIENT_IMAGES:
+        return lambda w: 0
+    phi, dist = quotient_oracle(base)
+    return lambda w: dist[phi(w)]
+
+
+class TestQuotient:
+    """Best-first's finite quotient: every expansion maps to 1, and d_G
+    is a lower bound on the length, checked against the oracles; its
+    gate; and its tables, built on first use."""
+
+    def test_group_and_tables(self):
+        _, dist = quotient_oracle(2)
+        quot = search.quotient(2)
+        assert len(dist) == len(quot.dist) == 5040 and max(dist.values()) == 10
+        assert quot.diameter == 10 and sorted(quot.dist) == sorted(dist.values())
+        assert {letter: len(rows) for letter, rows in quot.rows.items()} == {
+            "a": 2, "b": 2, "c": 6,
+        }
+        # eight rows of 5,040 two-byte indices: the identity, phi(a),
+        # phi(b) and the five other powers of phi(c)
+        rows = {id(row): row for powers in quot.rows.values() for row in powers}
+        assert sum(row.itemsize * len(row) for row in rows.values()) == 80_640
+        assert all(search.quotient(base) is None for base in (3, 5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((1, 2)),
+        st.sampled_from((0, 1)),
+        st.lists(st.sampled_from(LETTERS), max_size=8),
+    )
+    def test_expansions_map_to_the_identity(self, jmin, step, letters):
+        params = GenSetParams(base=2, jmin=jmin)
+        j = jmin + step
+        letters = letters[: params.conjugator_bound(j)]
+        conj = Word.from_runs((letter.base, letter.sign) for letter in letters)
+        x = expand_generator(normalize_conjugator(conj, j, params), params)
+        phi, _ = quotient_oracle(2)
+        assert phi(x) == phi(IDENTITY)
+        assert search.quotient(2).distance(x.runs) == 0
+        assert search.quotient(2).distance((~x).runs) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(short_words)
+    @example(Word.parse("c a c^-2 b a c^-1 b"))
+    @example(Word.parse("c^2 a^4 b^4 c b a c^-1"))
+    def test_distance_bounds_the_length(self, u):
+        d = search.quotient(2).distance(u.runs)
+        assert d == quotient_distance(2)(u)
+        # the oracle is exact up to 5 letters and index-1 moves
+        oracle = blind_length(u)
+        if oracle <= 5:
+            assert d <= oracle, str(u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_words, st.sampled_from(((2, 0), (2, 40))))
+    @example(Word.parse("a^2 b^3 c"), (2, 0))
+    @example(Word.parse("c a^2 b^-1"), (2, 40))
+    def test_relaxation_equal_to_letters_is_the_length(self, u, spec):
+        # h <= |u|_X <= |u|, so the gate leaves d_G unread where h = |u|
+        params, moves = move_set(*spec)
+        h = make_heuristic(params, moves.families)(state_key(u))
+        if h == u.s_length:
+            assert blind_length(u) == min(h, 6), str(u)
+
+    def test_built_on_the_first_base2_best_first_search(self):
+        # not at import, by the certificate pools, brackets, a base-3
+        # search or deepening; then once, by best-first at base 2
+        code = textwrap.dedent(
+            """
+            from wordweight import lengths, search
+            from wordweight.genset import GenSetParams
+            from wordweight.words import Word
+            builds = search.quotient.cache_info
+            for base in (2, 5):
+                lengths.certificate_pool(base)
+            u = Word.parse("c a c^-2 b a c^-1 b")
+            p2, p3 = GenSetParams(base=2, jmin=1), GenSetParams(base=3, jmin=1)
+            lengths.xlength(u, p2, mode="bracket")
+            lengths.xlength(u, p2, algorithm="deepening")
+            assert builds().misses == 0, builds()
+            lengths.xlength(Word.parse("a^9 b^8 c"), p3)
+            assert search.quotient(3) is None
+            lengths.xlength(u, p2)
+            lengths.xlength(Word.parse("c^2 a^4 b^4 c b a c^-1"), p2)
+            assert builds().misses == 2 and builds().currsize == 2, builds()
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+
+
 abelian = st.tuples(
     *[st.one_of(st.integers(-12, 12), st.integers(-3000, 3000))] * 3
 )
@@ -707,15 +854,21 @@ class TestDifferential:
             assert min(r.lower, 6) == blind_length(u), str(u)
 
 
-def full_expansion_best_first(u, moves, cap, h, budget, goal_of):
+def full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift):
     """The best-first loop that partial expansion replaced, without the
     deadline: it builds every child, looks it up in best_g, and only then
-    scores it. Its goal test looks up each state pushed, the root
-    included, in ``goal_of``, a plain map from each move's expansion to
-    its generator. The reference for ``search.best_first``."""
+    scores it, with max(h, ``lift``) for the word, eagerly; ``lift`` is
+    ``quotient_distance`` of the base. Its goal test looks up each state
+    pushed, the root included, in ``goal_of``, a plain map from each
+    move's expansion to its generator. The reference for
+    ``search.best_first``, which reads the quotient only at expansion."""
     if u.is_identity():
         return Outcome(0, [], 0, 0)
-    start_h = h(state_key(u))
+
+    def score(w: Word) -> int:
+        return max(h(state_key(w)), lift(w))
+
+    start_h = score(u)
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     best_g = {u: 0}
@@ -740,7 +893,7 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of):
             limit = cap if incumbent is None else min(cap, incumbent - 1)
             nxt = Word(move.runs) * state
             if ncost < best_g.get(nxt, float("inf")) and (
-                f_nxt := ncost + h(state_key(nxt))
+                f_nxt := ncost + score(nxt)
             ) <= limit:
                 best_g[nxt] = ncost
                 parents[nxt] = (state, move.gen)
@@ -990,13 +1143,14 @@ class TestPartialExpansion:
         params, moves = move_set(*spec)
         h = make_heuristic(params, moves.families)
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        lift = quotient_distance(params.base)
         skips = counting_skips(monkeypatch)
         builds = recording_builds(monkeypatch, h)
         for u in self.targets(spec, extra):
             cap = xlength(u, params, mode="bracket").upper
             for max_nodes in budgets:
                 budget = SearchBudget(max_nodes=max_nodes)
-                expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of)
+                expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
                 builds.start()
                 got = best_first(u, moves, cap, h, budget, 0.0)
                 assert got == expected, str(u)
@@ -1037,8 +1191,73 @@ class TestPartialExpansion:
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
         cap = xlength(u, params, mode="bracket").upper
         budget = SearchBudget(max_nodes=max_nodes)
-        expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of)
+        lift = quotient_distance(base)
+        expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
         assert best_first(u, moves, cap, h, budget, 0.0) == expected
+
+    def test_caps_below_the_length(self):
+        # no incumbent: every entry lifted above the cap is dropped, and
+        # the heap runs dry, or h(root) is already above the cap
+        params, moves = move_set(2, 0)
+        h = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        lift = quotient_distance(2)
+        for u in self.TIES + (Word.parse("c a c^-2 b a c^-1 b c^-2 b^-1 c"),):
+            length = xlength(u, params).lower
+            for cap in range(length - 3, length):
+                budget = SearchBudget(max_nodes=5000)
+                expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
+                got = best_first(u, moves, cap, h, budget, 0.0)
+                assert got == expected and got.lower_bound > cap, (str(u), cap)
+
+    def test_lifted_entry_goes_stale(self, monkeypatch):
+        # A lifted entry is pushed back built, and its state may then be
+        # reached at a lower cost, which leaves the entry stale. No
+        # target tried over the real move sets does so; over the letters
+        # and one move a^2, which phi sends to 1, with h = ceil(|r| / 2),
+        # this target does: a^-1 c^3 a^3 b^3 c^-2 is lifted at cost 3
+        # (a^2, a, a) before it is reached at cost 2 (a^2, a^2).
+        a2 = Word.parse("a^2")
+        square = search.Move.of(BigGen(IDENTITY, 1), a2)
+        goals = {letter.word().runs: letter for letter in LETTERS}
+        goals[a2.runs] = square.gen
+        moves = MoveSet(
+            search._LETTER_MOVES + (square,), (1,), goals, (search.Family.of((square,)),), 2
+        )
+        goal_of = {Word(runs): gen for runs, gen in goals.items()}
+
+        def h(key):
+            return -(-key[3] // 2)
+
+        least = {}  # runs -> the least cost it was built or pushed built at
+        stale = []
+
+        def pop(heap):
+            entry = heappop(heap)
+            if entry[2]:
+                runs, cost = entry[2], entry[3]
+                if least.get(runs, cost) < cost:  # the root is never pushed
+                    stale.append(Word(runs))
+            else:
+                runs, cost = entry[7].apply(entry[6]), entry[4]
+            least[runs] = min(cost, least.get(runs, cost))
+            return entry
+
+        def push(heap, entry):
+            if entry[2]:
+                least[entry[2]] = min(entry[3], least.get(entry[2], entry[3]))
+            heappush(heap, entry)
+
+        monkeypatch.setattr(search, "heappop", pop)
+        monkeypatch.setattr(search, "heappush", push)
+        u = Word.parse("a^3 c^3 a^3 b^3 c^-2")
+        budget = SearchBudget(max_nodes=5000)
+        got = best_first(u, moves, u.s_length, h, budget, 0.0)
+        expected = full_expansion_best_first(
+            u, moves, u.s_length, h, budget, goal_of, quotient_distance(2)
+        )
+        assert got == expected and (got.cost, got.nodes) == (12, 155)
+        assert stale == [Word.parse("a^-1 c^3 a^3 b^3 c^-2")]
 
     @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=IDS)
     def test_deepening_matches_full_scan(self, spec, budgets, extra, monkeypatch):
