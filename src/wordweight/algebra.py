@@ -14,7 +14,6 @@ the same bounds, refined until both ends round to one float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Mapping
@@ -29,26 +28,28 @@ from .lengths import (
     _require_canonical,
     xlength,
 )
-from .words import IDENTITY, Word, mul_runs
+from .words import IDENTITY, ValueRecord, Word, _set, mul_runs
 
 
-@dataclass(frozen=True)
-class ExpScalar:
+class ExpScalar(ValueRecord):
     """Exact value mantissa * e**exponent. The mantissa is a Fraction or an
     int; a float or a bool raises TypeError, as Fraction() would read 0.1
     as a binary float and True as 1. The exponent is an int, and anything
-    else, a bool or a float included, raises TypeError."""
+    else, a bool or a float included, raises TypeError. Zero has exponent
+    0."""
 
-    mantissa: Fraction
-    exponent: int = 0
+    __slots__ = ("mantissa", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.mantissa, Fraction):
-            object.__setattr__(self, "mantissa", _exact(self.mantissa))
-        if type(self.exponent) is not int:
-            raise TypeError(f"exponent {self.exponent!r} is not an int")
-        if self.mantissa == 0 and self.exponent != 0:
-            object.__setattr__(self, "exponent", 0)
+    def __init__(self, mantissa: Fraction, exponent: int = 0):
+        if not isinstance(mantissa, Fraction):
+            mantissa = _exact(mantissa)
+        if type(exponent) is not int:
+            raise TypeError(f"exponent {exponent!r} is not an int")
+        _set(self, "mantissa", mantissa)
+        _set(self, "exponent", exponent if mantissa else 0)
+
+    def _fields(self) -> tuple:
+        return self.mantissa, self.exponent
 
     def __mul__(self, other: "ExpScalar") -> "ExpScalar":
         return ExpScalar(self.mantissa * other.mantissa, self.exponent + other.exponent)
@@ -142,14 +143,19 @@ def _fixed_to_float(numerator: int, p: int) -> float:
         return math.inf if numerator > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class ExpSum:
+class ExpSum(ValueRecord):
     """Formal sum of m_i * e**E_i terms, normalized and exponent-sorted.
 
     Structural equality is mathematical equality since e is transcendental.
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...] = ()):
+        _set(self, "terms", terms)
+
+    def _fields(self) -> tuple:
+        return (self.terms,)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Fraction]]) -> "ExpSum":
@@ -649,14 +655,19 @@ def chain_product(
     return result
 
 
-@dataclass(frozen=True)
-class NormRoot:
+class NormRoot(ValueRecord):
     """k-th root of a norm: mantissa * e**exponent; mantissa is a Fraction
     when the root is exact, otherwise a float and exact is False."""
 
-    mantissa: Fraction | float
-    exponent: Fraction
-    exact: bool
+    __slots__ = ("mantissa", "exponent", "exact")
+
+    def __init__(self, mantissa: Fraction | float, exponent: Fraction, exact: bool):
+        _set(self, "mantissa", mantissa)
+        _set(self, "exponent", exponent)
+        _set(self, "exact", exact)
+
+    def _fields(self) -> tuple:
+        return self.mantissa, self.exponent, self.exact
 
     def is_one(self) -> bool:
         return self.exact and self.mantissa == 1 and self.exponent == 0

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -44,18 +43,24 @@ from .lengths import (
     verify_factorization,
     xlength,
 )
-from .words import Word
+from .words import Record, Word, _set
 
 DECAY_TEST_WORDS = ["", "a", "b a b^-1", "c^2 a^-1"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: GenSetParams
-    mode: str
-    budget: SearchBudget
-    fmt: str
-    out: str | None
+class RunConfig(Record):
+    """A command's settings: GenSetParams ``params``, the length ``mode``,
+    the SearchBudget ``budget``, the report format ``fmt`` and the output
+    path ``out`` (None for stdout)."""
+
+    __slots__ = ("params", "mode", "budget", "fmt", "out")
+
+    def __init__(self, params, mode, budget, fmt, out):
+        _set(self, "params", params)
+        _set(self, "mode", mode)
+        _set(self, "budget", budget)
+        _set(self, "fmt", fmt)
+        _set(self, "out", out)
 
     def as_dict(self) -> dict:
         return {

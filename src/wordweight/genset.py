@@ -11,35 +11,38 @@ for exhaustive search (exactness claims never transfer between bases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import BudgetExhausted, ConjugatorTooLong, IndexTooSmall
-from .words import HOM_AB, LETTERS, Letter, Word, _merge_runs, hom_value
+from .words import (
+    HOM_AB, LETTERS, Letter, ValueRecord, Word, _merge_runs, _set, hom_value
+)
 
 
-@dataclass(frozen=True)
-class GenSetParams:
+class GenSetParams(ValueRecord):
     """Construction parameters: base, starting index, optional index cap.
     Each is an int, and the cap may be None; anything else, a float or a
     bool included, raises TypeError, as a float base would make lengths
     and exponents floats."""
 
-    base: int = 5
-    jmin: int = 2
-    jmax_cap: int | None = None
+    __slots__ = ("base", "jmin", "jmax_cap")
 
-    def __post_init__(self):
-        for name in ("base", "jmin", "jmax_cap"):
-            value = getattr(self, name)
+    def __init__(self, base: int = 5, jmin: int = 2, jmax_cap: int | None = None):
+        for name, value in (("base", base), ("jmin", jmin), ("jmax_cap", jmax_cap)):
             if type(value) is not int and not (value is None and name == "jmax_cap"):
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.jmin < 1:
-            raise ValueError(f"jmin must be >= 1, got {self.jmin}")
-        if self.jmax_cap is not None and self.jmax_cap < self.jmin:
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        if jmin < 1:
+            raise ValueError(f"jmin must be >= 1, got {jmin}")
+        if jmax_cap is not None and jmax_cap < jmin:
             raise ValueError("jmax_cap below jmin")
+        _set(self, "base", base)
+        _set(self, "jmin", jmin)
+        _set(self, "jmax_cap", jmax_cap)
+
+    def _fields(self) -> tuple:
+        return self.base, self.jmin, self.jmax_cap
 
     def conjugator_bound(self, j: int) -> int:
         return self.base**j
@@ -51,8 +54,7 @@ class GenSetParams:
         return self.base ** (2 * j)
 
 
-@dataclass(frozen=True)
-class BigGen:
+class BigGen(ValueRecord):
     """An indexed generator in conjugator normal form.
 
     The conjugator never ends in b or b^-1, so the expansion is reduced
@@ -60,8 +62,14 @@ class BigGen:
     inverse).
     """
 
-    conj: Word
-    index: int
+    __slots__ = ("conj", "index")
+
+    def __init__(self, conj: Word, index: int):
+        _set(self, "conj", conj)
+        _set(self, "index", index)
+
+    def _fields(self) -> tuple:
+        return self.conj, self.index
 
     def __str__(self) -> str:
         return f"x({self.conj or '1'}, {self.index})"

@@ -12,7 +12,6 @@ the whitelisted word families at base 5.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -33,7 +32,7 @@ from .genset import (
     expand_generator,
 )
 from .search import SearchBudget, best_first, build_moves, deepening, make_heuristic
-from .words import IDENTITY, LETTER_OF, Word, hom_value
+from .words import IDENTITY, LETTER_OF, ValueRecord, Word, _set, hom_value
 
 C_POS = LETTER_OF["c", 1]
 B_NEG = LETTER_OF["b", -1]
@@ -46,10 +45,17 @@ class Direction(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    coeffs: tuple[int, int, int]
-    direction: Direction
+class Certificate(ValueRecord):
+    """An integer functional on the abelianization, capped on one side."""
+
+    __slots__ = ("coeffs", "direction")
+
+    def __init__(self, coeffs: tuple[int, int, int], direction: Direction):
+        _set(self, "coeffs", coeffs)
+        _set(self, "direction", direction)
+
+    def _fields(self) -> tuple:
+        return self.coeffs, self.direction
 
 
 def _row(cert: Certificate, base: int) -> tuple[int, int, int, int]:
@@ -221,15 +227,20 @@ def best_certificate_bound(
 # --- factorizations and witnesses -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(ValueRecord):
     """A run-compressed sequence of generator symbols.
 
     ``items`` holds (symbol, multiplicity) pairs so that witnesses with
     astronomically many repeated letters stay O(1) in memory.
     """
 
-    items: tuple[tuple[Gen, int], ...] = ()
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[tuple[Gen, int], ...] = ()):
+        _set(self, "items", items)
+
+    def _fields(self) -> tuple:
+        return (self.items,)
 
     @classmethod
     def from_symbols(cls, symbols) -> "Factorization":
@@ -518,8 +529,7 @@ def single_biggen_cancellation(
 # --- length computation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthResult:
+class LengthResult(ValueRecord):
     """Bracket [lower, upper] on the extended word length.
 
     ``exact`` iff the bracket collapsed; ``exhaustive`` marks exactness
@@ -528,22 +538,31 @@ class LengthResult:
     dual/bracket/budget.
     """
 
-    lower: int
-    upper: int
-    witness: Factorization | None
-    certificate: Certificate | None
-    exact: bool
-    exhaustive: bool
-    budget_exhausted: bool
-    nodes_expanded: int
-    ms: float
-    method: str
+    __slots__ = ("lower", "upper", "witness", "certificate", "exact", "exhaustive",
+                 "budget_exhausted", "nodes_expanded", "ms", "method")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower: int, upper: int, witness: Factorization | None,
+                 certificate: Certificate | None, exact: bool, exhaustive: bool,
+                 budget_exhausted: bool, nodes_expanded: int, ms: float, method: str):
+        if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
-        if self.exact != (self.lower == self.upper):
+        if exact != (lower == upper):
             raise ValueError("exact flag inconsistent with bracket")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "witness", witness)
+        _set(self, "certificate", certificate)
+        _set(self, "exact", exact)
+        _set(self, "exhaustive", exhaustive)
+        _set(self, "budget_exhausted", budget_exhausted)
+        _set(self, "nodes_expanded", nodes_expanded)
+        _set(self, "ms", ms)
+        _set(self, "method", method)
+
+    def _fields(self) -> tuple:
+        return (self.lower, self.upper, self.witness, self.certificate, self.exact,
+                self.exhaustive, self.budget_exhausted, self.nodes_expanded, self.ms,
+                self.method)
 
 
 def _bracket_parts(u: Word, params: GenSetParams):

@@ -87,7 +87,6 @@ from __future__ import annotations
 import threading
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
@@ -103,27 +102,27 @@ from .genset import (
     longest_expansion,
     max_usable_index,
 )
-from .words import LETTERS, AbelianVector, Run, Word, mul_runs, seam
+from .words import (
+    LETTERS, AbelianVector, Record, Run, ValueRecord, Word, _set, mul_runs, seam
+)
 
 _INF = float("inf")
 
 Runs = tuple[Run, ...]  # a state: the reduced runs of a remainder
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(ValueRecord):
     """What a search may spend: ``max_nodes`` nodes (an int >= 1), a
     cost cap ``max_cost`` (None or an int >= 0) and ``max_millis``
     milliseconds (None or a finite number > 0). A field of another type
     raises TypeError, one out of range ValueError: a nan deadline would
     never be reached and a negative one would be spent at once."""
 
-    max_nodes: int = 1_000_000
-    max_cost: int | None = None
-    max_millis: float | None = None
+    __slots__ = ("max_nodes", "max_cost", "max_millis")
 
-    def __post_init__(self):
-        nodes, cost, millis = self.max_nodes, self.max_cost, self.max_millis
+    def __init__(self, max_nodes: int = 1_000_000, max_cost: int | None = None,
+                 max_millis: float | None = None):
+        nodes, cost, millis = max_nodes, max_cost, max_millis
         if type(nodes) is bool or not isinstance(nodes, int):
             raise TypeError(f"max_nodes must be an int, got {nodes!r}")
         if nodes < 1:
@@ -140,18 +139,37 @@ class SearchBudget:
                 raise ValueError(
                     f"max_millis must be a finite number > 0, got {millis}"
                 )
+        _set(self, "max_nodes", nodes)
+        _set(self, "max_cost", cost)
+        _set(self, "max_millis", millis)
+
+    def _fields(self) -> tuple:
+        return self.max_nodes, self.max_cost, self.max_millis
 
 
-@dataclass(frozen=True)
-class Move:
-    gen: Gen
-    runs: Runs  # the inverse of the expansion, applied to remainders
-    ab: AbelianVector  # abelianisation of ``runs``
-    letters: int  # letter count of ``runs``
-    tail: str  # the last run of ``runs`` as a signed base (``_signed``)
-    body: Runs  # ``runs`` without its last run
-    base: str  # the last run's base
-    exp: int  # the last run's exponent
+class Move(ValueRecord):
+    """A generator ``gen`` as a step of the search. ``runs`` (Runs), the
+    inverse of its expansion, is applied to remainders; ``ab`` is its
+    abelianisation, ``letters`` its letter count, ``tail`` its last run
+    as a signed base (``_signed``), ``body`` the runs before that run, and
+    ``base`` and ``exp`` that run's base and exponent. Two moves are equal
+    when their generators and runs are, as ``of`` reads the other fields
+    off the runs."""
+
+    __slots__ = ("gen", "runs", "ab", "letters", "tail", "body", "base", "exp")
+
+    def __init__(self, gen, runs, ab, letters, tail, body, base, exp):
+        _set(self, "gen", gen)
+        _set(self, "runs", runs)
+        _set(self, "ab", ab)
+        _set(self, "letters", letters)
+        _set(self, "tail", tail)
+        _set(self, "body", body)
+        _set(self, "base", base)
+        _set(self, "exp", exp)
+
+    def _fields(self) -> tuple:
+        return self.gen, self.runs
 
     @classmethod
     def of(cls, gen: Gen, expansion: Word) -> "Move":
@@ -191,8 +209,7 @@ def _signed(base: str, exp: int) -> str:
     return base if exp > 0 else base.upper()
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """The index-j family as moves, with what bounds all their children.
 
     Every index-j expansion abelianizes to d_j (B, B+1, 0), d_j = B^(2j-1),
@@ -203,12 +220,15 @@ class Family:
     pairs.
     """
 
-    ab: AbelianVector
-    lo: int
-    hi: int
-    moves: tuple[Move, ...]
-    letters: tuple[int, ...]
-    tails: dict[str, tuple[tuple[int, int], ...]]
+    __slots__ = ("ab", "lo", "hi", "moves", "letters", "tails")
+
+    def __init__(self, ab, lo, hi, moves, letters, tails):
+        _set(self, "ab", ab)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "moves", moves)
+        _set(self, "letters", letters)
+        _set(self, "tails", tails)
 
     @classmethod
     def of(cls, moves: tuple[Move, ...]) -> "Family":
@@ -243,13 +263,26 @@ class Family:
         return (na, nb, nc, least)
 
 
-@dataclass(frozen=True)
-class MoveSet:
-    moves: tuple[Move, ...]  # the letters, then each family in index order
-    families: tuple[int, ...]  # indices of the indexed generators, ascending
-    goals: dict[Runs, Gen]  # an expansion's runs -> its generator
-    groups: tuple[Family, ...]  # the listed families, in the order of ``families``
-    base: int  # the base of the parameters it was listed for
+class MoveSet(ValueRecord):
+    """The moves of a search: ``moves`` holds the letters, then each
+    family in index order; ``families`` the indices of the indexed
+    generators, ascending; ``goals`` maps an expansion's runs to its
+    generator; ``groups`` holds the listed families, in the order of
+    ``families``; ``base`` is the base of the parameters it was listed
+    for. A ``Family`` compares by identity, so two move sets with indexed
+    families are equal only when they hold the same listed ones."""
+
+    __slots__ = ("moves", "families", "goals", "groups", "base")
+
+    def __init__(self, moves, families, goals, groups, base):
+        _set(self, "moves", moves)
+        _set(self, "families", families)
+        _set(self, "goals", goals)
+        _set(self, "groups", groups)
+        _set(self, "base", base)
+
+    def _fields(self) -> tuple:
+        return self.moves, self.families, self.goals, self.groups, self.base
 
 
 # The images of a, b and c, as permutations i -> p[i], of the finite
@@ -278,8 +311,9 @@ class Quotient:
 
     G is held by element index, the identity 0: ``rows[base][k]`` maps
     each index g to that of phi(base)^k g, for k below the order of
-    phi(base), and ``dist`` holds d_G at each index. A plain class, as a
-    dataclass would cost the import a generated ``__init__``.
+    phi(base), and ``dist`` holds d_G at each index. It is a plain
+    ``__slots__`` class, not a ``words.Record``: ``quotient`` builds one
+    per base, and it is never compared, copied or pickled.
     """
 
     __slots__ = ("rows", "dist", "diameter")
@@ -336,12 +370,22 @@ def quotient(base: int) -> Quotient | None:
     return Quotient(rows, bytes(dist))
 
 
-@dataclass(frozen=True)
-class Outcome:
-    cost: int | None  # optimal cost, None when not proven optimal
-    path: list[Gen] | None  # with cost None: best factorization found so far
-    nodes: int
-    lower_bound: int  # proven even when no factorization was found
+class Outcome(ValueRecord):
+    """What a search engine found: ``cost`` is the optimal cost, None when
+    not proven optimal; ``path`` the factorization, with cost None the
+    best found so far; ``lower_bound`` is proven even when no
+    factorization was found."""
+
+    __slots__ = ("cost", "path", "nodes", "lower_bound")
+
+    def __init__(self, cost, path, nodes, lower_bound):
+        _set(self, "cost", cost)
+        _set(self, "path", path)
+        _set(self, "nodes", nodes)
+        _set(self, "lower_bound", lower_bound)
+
+    def _fields(self) -> tuple:
+        return self.cost, self.path, self.nodes, self.lower_bound
 
 
 _LETTER_MOVES = tuple(Move.of(letter, letter.word()) for letter in LETTERS)

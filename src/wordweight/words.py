@@ -263,7 +263,56 @@ class Word:
 IDENTITY = Word(())
 
 
-class Letter:
+#: Sets a field of a ``Record`` in its constructor, past its ``__setattr__``.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the library's immutable records.
+
+    A record lists its fields in ``__slots__``, in the order its
+    constructor takes them, and sets each once in ``__init__`` with
+    ``_set``. Setting or deleting an attribute afterwards raises
+    AttributeError. ``copy``, ``deepcopy`` and ``pickle`` rebuild a record
+    through its constructor from its fields, and its repr names each of
+    them (``Letter``, which keeps a cached field, overrides both). Records
+    are equal only when they are the same object; a ``ValueRecord``
+    compares by value.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ValueRecord(Record):
+    """A record equal to another of its type when their ``_fields()``
+    are, with the hash of that tuple. Each subclass writes ``_fields`` out
+    from its named fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Letter(Record):
     """One of the six standard letters.
 
     There are exactly six instances, built once at import in the order of
@@ -286,12 +335,6 @@ class Letter:
         except (KeyError, TypeError):  # TypeError: an unhashable argument
             raise ValueError(f"bad letter ({base!r}, {sign})") from None
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a letter is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a letter is immutable: cannot delete {name!r}")
-
     def __reduce__(self):
         return Letter, (self.base, self.sign)
 
@@ -307,9 +350,9 @@ class Letter:
 
 def _new_letter(base: str, sign: int) -> Letter:
     letter = object.__new__(Letter)
-    object.__setattr__(letter, "base", base)
-    object.__setattr__(letter, "sign", sign)
-    object.__setattr__(letter, "_word", Word(((base, sign),)))
+    _set(letter, "base", base)
+    _set(letter, "sign", sign)
+    _set(letter, "_word", Word(((base, sign),)))
     return letter
 
 

@@ -14,7 +14,6 @@ full-scan references: best-first's partial expansion and deferred
 builds against the full-expansion loop it replaced, on fixed targets and
 on random words, deepening against a plain recursive one."""
 
-import dataclasses
 import itertools
 import os
 import random
@@ -43,6 +42,7 @@ from wordweight.genset import (
 )
 from wordweight.lengths import (
     Factorization,
+    LengthResult,
     SearchBudget,
     chain_word,
     pool_bound,
@@ -63,6 +63,15 @@ from wordweight.search import (
 from wordweight.words import IDENTITY, LETTERS, Word, mul_runs
 
 P2 = GenSetParams(base=2, jmin=1)
+
+
+def untimed(r: LengthResult) -> LengthResult:
+    """The result with its time set to 0, so that two runs compare equal."""
+    return LengthResult(
+        r.lower, r.upper, r.witness, r.certificate, r.exact, r.exhaustive,
+        r.budget_exhausted, r.nodes_expanded, 0.0, r.method,
+    )
+
 
 # (base, upper-bound widening): build_moves on the square of the first
 # generator gives the index-1 family alone; widening the upper bound by
@@ -159,7 +168,7 @@ class TestBuildMoves:
         assert build_moves(u, u.s_length, params, SearchBudget()) is first
         assert build_moves(g * g, (g * g).s_length, params, SearchBudget()) is first
         assert isinstance(first.moves, tuple) and isinstance(first.groups, tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             first.moves = ()
 
     def test_cache_keeps_the_newest_move_sets(self, monkeypatch):
@@ -331,7 +340,7 @@ class TestHeuristic:
 
         def results(order):
             return {
-                u: dataclasses.replace(xlength(u, P2, algorithm=algorithm), ms=0.0)
+                u: untimed(xlength(u, P2, algorithm=algorithm))
                 for u in order
             }
 
@@ -368,7 +377,7 @@ class TestHeuristic:
 
         def run(out):
             for u in targets:
-                out.append(dataclasses.replace(xlength(u, P2, algorithm="dual"), ms=0.0))
+                out.append(untimed(xlength(u, P2, algorithm="dual")))
 
         make_heuristic.cache_clear()
         expected = []
