@@ -68,7 +68,6 @@ class ExpScalar(ValueRecord):
 
 
 ONE = ExpScalar(Fraction(1))
-ZERO = ExpScalar(Fraction(0))
 
 
 def _refuse_inexact(value) -> None:
@@ -206,8 +205,6 @@ class ExpSum(ValueRecord):
         return self + (-other)
 
     def scaled(self, scalar: ExpScalar) -> "ExpSum":
-        if scalar.is_zero():
-            return ExpSum(())
         return ExpSum.from_terms(
             (e + scalar.exponent, m * scalar.mantissa) for e, m in self.terms
         )
@@ -272,15 +269,6 @@ class ExpSum(ValueRecord):
 
     def equals(self, other) -> bool:
         return self == _promote(other)
-
-    def as_scalar(self) -> ExpScalar | None:
-        """Collapse to a single scalar when possible (zero or one term)."""
-        if not self.terms:
-            return ZERO
-        if len(self.terms) == 1:
-            e, m = self.terms[0]
-            return ExpScalar(m, e)
-        return None
 
     def to_float(self) -> float:
         """The value correctly rounded to a float: +-inf past the float
@@ -365,14 +353,6 @@ class WeightProvider:
         self._cache[u] = value
         return value
 
-    def weight(self, u: Word) -> ExpScalar:
-        return ExpScalar(Fraction(1), self.length(u))
-
-
-def xweight(u: Word, provider: WeightProvider) -> int:
-    """Exact weight exponent |u| over the extended set."""
-    return provider.length(u)
-
 
 # --- finitely supported weighted vectors --------------------------------------
 
@@ -387,10 +367,6 @@ class WeightedVector:
         self.entries: dict[Word, ExpSum] = {
             w: c for w, c in entries.items() if not c.is_zero()
         }
-
-    @classmethod
-    def zero(cls, provider: WeightProvider) -> "WeightedVector":
-        return cls(provider, {})
 
     @classmethod
     def point_mass(

@@ -103,7 +103,7 @@ from .genset import (
     max_usable_index,
 )
 from .words import (
-    LETTERS, AbelianVector, Record, Run, ValueRecord, Word, _set, mul_runs, seam
+    LETTERS, Record, Run, ValueRecord, Word, _set, mul_runs, seam
 )
 
 _INF = float("inf")
@@ -716,6 +716,8 @@ def best_first(
     t0: float,
 ) -> Outcome:
     """Optimal factorization cost within ``cap``, or a proven lower bound.
+    ``u`` is not the identity: ``xlength`` answers the identity with the
+    bracket [0, 0] before it searches.
 
     Heap entries come in two layouts. A built entry is
     (f, letters, runs, cost, key): a state's runs and its key ride with
@@ -822,6 +824,15 @@ def best_first(
     Pushing s_(c*-1), an expansion, sets an incumbent of at most c*, a
     contradiction.
 
+    The heap never runs dry with an incumbent. One is set before the
+    loop when the root is an expansion, and the root's entry then has
+    f = h(u) = 1 = incumbent (h >= 1 off the identity, h <= 1 one move
+    from it); later ones are set as an expansion is pushed built, at
+    f = ncost + 1 = incumbent. Entries leave the heap only by the pop at
+    the top of the loop, and the incumbent only falls, so that entry
+    stays until it is popped at f >= incumbent, and the test there
+    returns. So the loop runs out only without an incumbent.
+
     The incumbent is a real path with exactly that many symbols. It is
     recorded as (X, generator), X the runs of a state, with incumbent =
     g(X) + 1, and g(X) drops only with a push of X, built as h(X) = 1,
@@ -834,8 +845,6 @@ def best_first(
     budget runs out, the walk is returned unproven and its own length is
     used. ``xlength`` re-multiplies every path and raises on a mismatch.
     """
-    if u.is_identity():
-        return Outcome(0, [], 0, 0)
     root = state_key(u)
     start_h = h(root)
     if start_h > cap:
@@ -904,8 +913,6 @@ def best_first(
                 if (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
-    if incumbent is not None:
-        return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
     # Whole graph below the cap explored without reaching the target.
     return Outcome(None, None, nodes, cap + 1)
 
@@ -934,7 +941,9 @@ def deepening(
 ) -> Outcome:
     """Iterative deepening on cost plus heuristic; the bound advances by
     the exact minimal overshoot, so the first factorization found is
-    optimal for an admissible heuristic.
+    optimal for an admissible heuristic. ``u`` is not the identity:
+    ``xlength`` answers the identity with the bracket [0, 0] before it
+    searches.
 
     A pass visits the cycle-free paths from u whose states all have
     f <= bound. Each child is scored from its parent's key before it is
@@ -963,10 +972,18 @@ def deepening(
     s_c = 1. Some s_i with i < c has f > b, or the pass would have
     reached s_(c-1) and found it. The first such s_i is a child of a
     visited state, so the minimal overshoot, the new bound, is at most
-    its f; and f(s_i) <= c, as h is admissible. So c >= bound. Children
-    on the current path enter the overshoot too, before the path check;
-    that only adds candidates, each above b, so the bound still grows and
-    stays at most c.
+    its f; and f(s_i) <= c, as h is admissible. So c >= bound. The scan
+    scores a child before the path check, which reads only the children
+    that pass: a child that fails the bound enters the overshoot whether
+    or not it is on the current path, and a passing child on the path is
+    skipped. The extra candidates are each above b, so the bound still
+    grows and stays at most c.
+
+    The same argument shows that a completed pass ends with a finite
+    overshoot: u has a factorization, its letters, so such an s_i exists
+    (i >= 1, as f(u) = h(u) <= b) and enters it. So the next bound is an
+    integer, and the search ends only at a goal, at the budget, or once
+    the bound passes ``cap``.
 
     The scan. A node's children come from the scan both engines share
     (``_children``, with the bound as limit and one overshoot cell per
@@ -983,8 +1000,6 @@ def deepening(
     every pass bound are those of a full scan, and with them the node
     count and the path.
     """
-    if u.is_identity():
-        return Outcome(0, [], 0, 0)
     deadline = _deadline(budget, t0)
     goals, groups = moves.goals, moves.groups
     nodes = 0
@@ -1024,8 +1039,5 @@ def deepening(
                     frames.pop()
                     on_path.discard(parent)
                     del path[-1:]  # the move into parent; the root has none
-        if over[0] is _INF:
-            # Whole graph below the cap explored without reaching the target.
-            return Outcome(None, None, nodes, cap + 1)
         bound = int(over[0])
     return Outcome(None, None, nodes, bound)

@@ -235,27 +235,6 @@ class Word:
             ab = self._ab = AbelianVector(na, nb, nc)
         return ab
 
-    def split_at(self, i: int) -> tuple["Word", "Word"]:
-        """Split into the first ``i`` letters and the rest; no cancellation."""
-        if i < 0 or i > self.s_length:
-            raise IndexError(f"split index {i} out of range")
-        prefix: list[Run] = []
-        remaining = i
-        for pos, (base, exp) in enumerate(self.runs):
-            size = abs(exp)
-            if remaining >= size:
-                prefix.append((base, exp))
-                remaining -= size
-                if remaining == 0:
-                    return Word(tuple(prefix)), Word(self.runs[pos + 1 :])
-            else:
-                sign = 1 if exp > 0 else -1
-                if remaining:
-                    prefix.append((base, sign * remaining))
-                suffix = ((base, exp - sign * remaining),) + self.runs[pos + 1 :]
-                return Word(tuple(prefix)), Word(suffix)
-        return self, IDENTITY
-
     def sort_key(self):
         return (self.s_length, self.runs)
 
@@ -372,10 +351,8 @@ class AbelianVector(NamedTuple):
 
 Coeffs = tuple[int, int, int]
 
-# Letter-count homomorphisms to the integers, as coefficient triples.
-HOM_C: Coeffs = (0, 0, 1)
+# A letter-count homomorphism to the integers, as a coefficient triple.
 HOM_AB: Coeffs = (1, 1, 0)  # counts a's and b's together
-HOM_B_MINUS_C: Coeffs = (0, 1, -1)
 
 
 def hom_value(coeffs: Coeffs, u: Word) -> int:

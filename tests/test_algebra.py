@@ -20,6 +20,7 @@ from wordweight.algebra import (
     ONE,
     WeightProvider,
     WeightedVector,
+    _e_bounds,
     _exp_bounds,
     _sum_bounds,
     block_word,
@@ -35,7 +36,6 @@ from wordweight.algebra import (
     spectral_probe,
     vector_from_literal,
     vector_to_literal,
-    xweight,
 )
 from wordweight.errors import (
     ConstraintViolation,
@@ -176,6 +176,10 @@ class TestExpScalar:
         assert ExpSum.from_terms([(800, 1), (799, -2)]).to_float() == math.inf
         # a huge top exponent gives inf without a 1.4 * 5^13-bit power of e
         assert ExpScalar(Fraction(1, 10**6), 5**13).to_float() == math.inf
+        # at top exponent 0 a mantissa past the float range overflows the
+        # fixed-point quotient itself
+        assert ExpScalar(2**1100).to_float() == math.inf
+        assert ExpScalar(-(2**1100)).to_float() == -math.inf
         assert ExpSum.from_terms([(5**13, 1), (5**13 - 1, -3)]).to_float() == -math.inf
 
 
@@ -191,8 +195,14 @@ class TestExpSum:
 
     def test_three_over_e_exceeds_one(self):
         three_over_e = ExpSum.of(ExpScalar(Fraction(3), -1))
-        assert three_over_e > 1
+        assert three_over_e > 1 and three_over_e >= 1
         assert ExpSum.of(ExpScalar(Fraction(2), -1)) < 1
+        assert not ExpSum.of(ExpScalar(Fraction(2), -1)) >= 1
+
+    def test_the_empty_sum(self):
+        assert str(ExpSum()) == "0"
+        with pytest.raises(TypeError, match="^cannot compare ExpSum with str$"):
+            ExpSum() <= "x"
 
     def test_mixed_sign_comparison(self):
         # e^1 - 2 > 0, e^1 - 3 < 0
@@ -287,6 +297,14 @@ class TestExpSum:
                 lo, hi = _sum_bounds(terms, 0, p)
                 assert Fraction(lo, 1 << p) <= under and over <= Fraction(hi, 1 << p)
 
+    def test_sign_gives_up_past_the_bit_ceiling(self):
+        # e - m, with m within 2^-70000 of e, is positive, but its sign
+        # needs more than the 2^16 bits of the last precision
+        lo, _ = _e_bounds(70_000, False)
+        near_zero = ExpSum.from_terms([(1, 1), (0, -Fraction(lo, 1 << 70_000))])
+        with pytest.raises(ArithmeticError, match=r"^bounds did not resolve within 2\^16 bits$"):
+            near_zero.sign()
+
     def test_to_float_waits_for_the_sign(self):
         # 1 - S_200/e > 0 lies within 2^-1200 of 0, so up to 1024 bits its
         # bracket holds 0, and at 1024 bits both ends of e^-800 times it
@@ -299,11 +317,6 @@ class TestExpSum:
     def test_abs_flips_negative_sums(self):
         s = ExpSum.from_terms([(0, Fraction(-2)), (-1, Fraction(1))])
         assert abs(s) == -s
-
-    def test_as_scalar(self):
-        assert ExpSum().as_scalar() == ExpScalar(Fraction(0))
-        assert ExpSum.of(ONE).as_scalar() == ONE
-        assert ExpSum.from_terms([(0, Fraction(1)), (1, Fraction(1))]).as_scalar() is None
 
     def test_to_float_accuracy(self):
         import math
@@ -380,18 +393,18 @@ class TestExpSumShortcuts:
 
 class TestProvider:
     def test_family_c_power(self, fam5):
-        assert xweight(W("c^7"), fam5) == 7
+        assert fam5.length(W("c^7")) == 7
 
     def test_family_block(self, fam5):
-        assert xweight(W("a^625 b^625"), fam5) == 126
+        assert fam5.length(W("a^625 b^625")) == 126
 
     def test_family_refuses_other_base(self):
         fam2 = WeightProvider(P2, mode="family")
         with pytest.raises(UnknownLength):
-            xweight(W("a^4 b^4"), fam2)
+            fam2.length(W("a^4 b^4"))
 
     def test_exact_mode_small_base(self, exact2):
-        assert xweight(W("a^4 b^4"), exact2) == 3
+        assert exact2.length(W("a^4 b^4")) == 3
 
     def test_family_mode_builds_no_witness(self, monkeypatch):
         whitelisted = [
@@ -428,6 +441,10 @@ class TestProvider:
         for u in refused:
             with pytest.raises(UnknownLength):
                 provider.length(u)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            WeightProvider(P2, mode="fast")
 
     def test_bracket_mode(self):
         prov = WeightProvider(P2, mode="bracket")
@@ -473,6 +490,12 @@ class TestVectors:
             WeightedVector.point_mass(exact2, W("b a^-1"))
         )
 
+    def test_convolution_across_parameters_refused(self, fam5, exact2):
+        du = WeightedVector.point_mass(fam5, W("c"))
+        dv = WeightedVector.point_mass(exact2, W("c"))
+        with pytest.raises(ValueError, match="different generating-set parameters"):
+            convolve(du, dv)
+
     def test_scaled_norm(self, fam5):
         v = normalized_point_mass(W("c^4"), fam5).scaled(ExpScalar(Fraction(2)))
         assert omega_norm(v).equals(2)
@@ -484,7 +507,7 @@ class TestVectors:
         assert exc.value.words == (W("a b"),)
 
     def test_pairing_of_zero(self, fam5):
-        assert pair_omega(WeightedVector.zero(fam5)).is_zero()
+        assert pair_omega(WeightedVector(fam5, {})).is_zero()
 
     def test_pairing_bounded_by_norm(self, exact2):
         rng = random.Random(3)
@@ -679,6 +702,14 @@ class TestDecayBounds:
         bound = sandwich_norm_bound(2, f, 4)
         assert bound < ExpScalar(Fraction(1), -126)
 
+    def test_norm_bound_of_the_zero_vector(self, fam5):
+        assert sandwich_norm_bound(2, WeightedVector(fam5, {}), 4).is_zero()
+
+    def test_norm_bound_below_the_tail_index(self, fam5):
+        f = normalized_point_mass(W(f"c^{5**5}"), fam5)
+        with pytest.raises(PreconditionViolated, match=r"below N\(j=2, f\) = 5$"):
+            sandwich_norm_bound(2, f, 4)
+
     def test_decay_dominates_any_threshold(self, fam5):
         # the bound exponent falls strictly as the left index grows
         exponents = [
@@ -739,7 +770,7 @@ class TestSpectralProbe:
         assert all(r.is_one() for r in roots)
 
     def test_zero_vector(self, fam5):
-        roots = spectral_probe(WeightedVector.zero(fam5), 4)
+        roots = spectral_probe(WeightedVector(fam5, {}), 4)
         assert all(r.is_zero() for r in roots)
 
     def test_subunit_mass_decays_exactly(self, fam5):

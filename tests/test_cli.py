@@ -190,6 +190,19 @@ class TestVerifyFamily:
         code, _, _ = run(capsys, "verify-family", "--family", "block", "--n", "x")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "block", "--n", ""], "--n and --k must be non-empty"),
+            (["--family", "chain", "--n", "2,3"], "chain ranges take a single --n"),
+        ],
+        ids=["empty-block-n", "chain-two-n"],
+    )
+    def test_bad_family_ranges_name_the_flag(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify-family", *flags)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
     def test_chain_length_below_one_exit_2(self, capsys):
         code, out, err = run(
             capsys, "verify-family", "--family", "chain", "--n", "2", "--r", "0,-3,1"
@@ -224,6 +237,11 @@ class TestRadicalDemo:
         code, out, err = run(capsys, "radical-demo", "--j", "")
         assert code == 2 and not out
         assert err == "error: --j must be non-empty\n"
+
+    def test_r_below_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "radical-demo", "--r", "0")
+        assert code == 2 and not out
+        assert err == "error: --r and --kmax must be >= 1\n"
 
     def test_index_above_cap_exit_2(self, capsys):
         # the decay rows for --j 2 use the tail index 4, above the cap
@@ -282,6 +300,24 @@ class TestConfig:
         code, out, err = run(capsys, "xlen", "--config", str(cfg), "a^4 b^4")
         assert code == 2 and not out
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the comment line is skipped, and still counted
+            ("# budget\nmax_nodes 5\n", "{cfg}:2: expected key=value"),
+            ("base=abc\n", "base must be an integer, got 'abc'"),
+            ("mode=fast\n", "unknown mode 'fast'"),
+            ("format=xml\n", "unknown format 'xml'"),
+        ],
+        ids=["no-equals-after-comment", "base-not-int", "unknown-mode", "unknown-format"],
+    )
+    def test_bad_config_line_exit_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "xlen", "--config", str(cfg), "a^4 b^4")
+        assert code == 2 and not out
+        assert err == f"error: {message.format(cfg=cfg)}\n"
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -51,9 +51,10 @@ def conjugated(draw):
     j = params.jmin + draw(st.integers(0, 1))
     bound = params.conjugator_bound(j)
     lead = draw(st.integers(-bound, bound))
-    letters = draw(st.lists(st.sampled_from(LETTERS), max_size=min(bound, 40)))
+    most = min(bound - abs(lead), 40)  # so that |v| <= |lead| + most <= bound
+    letters = draw(st.lists(st.sampled_from(LETTERS), max_size=most))
     v = Word.from_runs([("a", lead)] + [(l.base, l.sign) for l in letters])
-    return params, j, v.split_at(min(bound, v.s_length))[0]
+    return params, j, v
 
 
 def all_reduced_words(max_len: int):

@@ -23,6 +23,7 @@ from wordweight.lengths import (
     Certificate,
     Direction,
     Factorization,
+    LengthResult,
     SearchBudget,
     best_certificate_bound,
     block_witness,
@@ -197,6 +198,10 @@ class TestWitnesses:
         with pytest.raises(IndexTooSmall):
             block_witness(1, 0, P5)
 
+    def test_block_witness_negative_power(self):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            block_witness(2, -1, P5)
+
     def test_chain_witness_two_blocks(self):
         wit = chain_witness([(2, 1876), (2, 1)], P5)
         prod, count = verify_factorization(wit, P5)
@@ -217,6 +222,10 @@ class TestWitnesses:
     def test_chain_requires_positive_separators(self):
         with pytest.raises(ValueError):
             chain_witness([(2, 0)], P5)
+
+    def test_chain_witness_empty(self):
+        with pytest.raises(ValueError, match="^empty block list$"):
+            chain_witness([], P5)
 
     def test_verify_empty(self):
         assert verify_factorization(Factorization(), P5) == (IDENTITY, 0)
@@ -283,6 +292,11 @@ class TestFamilyRecognizer:
             "c^2 a^625 b^625 a^15625 b^15625",
         ]:
             assert family_length(W(text), P5) is None
+
+    def test_block_above_the_cap_refused(self):
+        capped = GenSetParams(base=5, jmin=2, jmax_cap=2)
+        assert family_length(W("a^625 b^625"), capped)[0] == 126
+        assert family_length(W("a^15625 b^15625"), capped) is None
 
     def test_leading_c_on_chain_refused(self):
         u = W("c") * chain_word([(2, 1876), (2, 1)], P5)
@@ -388,6 +402,23 @@ class TestXLength:
         with pytest.raises(UnknownLength):
             xlength(W("a b"), P5, mode="family")
 
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            xlength(W("c^3"), P2, mode="fast")
+
+    @pytest.mark.parametrize(
+        "lower, upper, exact, message",
+        [
+            (3, 2, False, "lower bound exceeds upper bound"),
+            (2, 3, True, "exact flag inconsistent with bracket"),
+            (2, 2, False, "exact flag inconsistent with bracket"),
+        ],
+        ids=["lower-above-upper", "open-but-exact", "closed-but-not-exact"],
+    )
+    def test_result_refuses_an_inconsistent_bracket(self, lower, upper, exact, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LengthResult(lower, upper, None, None, exact, False, False, 0, 0.0, "bracket")
+
     def test_identity(self):
         r = xlength(IDENTITY, P2, mode="exact")
         assert r.exact and r.lower == 0 and r.witness.symbol_count == 0
@@ -409,6 +440,15 @@ class TestXLength:
         monkeypatch.setattr(lengths, "best_first", fake_best_first)
         with pytest.raises(ArithmeticError, match="invalid witness"):
             xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact")
+
+    def test_dual_engines_that_disagree_raise(self, monkeypatch):
+        # deepening proves a cost that best-first's does not match
+        def fake_deepening(u, moves, cap, h, budget, t0):
+            return Outcome(10**6, [Letter("a", 1)], 1, 10**6)
+
+        monkeypatch.setattr(lengths, "deepening", fake_deepening)
+        with pytest.raises(ArithmeticError, match="^search engines disagree on "):
+            xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact", algorithm="dual")
 
     @pytest.mark.parametrize(
         "u,params,budget",

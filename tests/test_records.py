@@ -66,6 +66,7 @@ def samples() -> dict:
 
     c, unit = mass("c", 3), mass("c", 1, -1)
     f = c + mass("c^2", Fraction(1, 2))
+    exponent, mantissa = omega_norm(c).terms[0]
     return {
         GenSetParams: [GenSetParams(base=3, jmin=1, jmax_cap=4), p2],
         SearchBudget: [SearchBudget(max_nodes=700, max_cost=9, max_millis=50.0),
@@ -75,7 +76,7 @@ def samples() -> dict:
         Certificate: [searched.certificate, bracket.certificate],
         Factorization: [searched.witness, bracket.witness],
         LengthResult: [searched, bracket],
-        ExpScalar: [omega_norm(c).as_scalar(), ExpScalar(Fraction(-2, 3), 5)],
+        ExpScalar: [ExpScalar(mantissa, exponent), ExpScalar(Fraction(-2, 3), 5)],
         ExpSum: [omega_norm(f), omega_norm(c)],
         NormRoot: [spectral_probe(f, 2)[1], spectral_probe(unit, 2)[1]],
     }

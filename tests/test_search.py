@@ -1205,8 +1205,9 @@ class TestPartialExpansion:
         assert best_first(u, moves, cap, h, budget, 0.0) == expected
 
     def test_caps_below_the_length(self):
-        # no incumbent: every entry lifted above the cap is dropped, and
-        # the heap runs dry, or h(root) is already above the cap
+        # no incumbent: best-first drops every entry lifted above the cap,
+        # and its heap runs dry, or h(root) is already above the cap;
+        # deepening's bound grows past the cap
         params, moves = move_set(2, 0)
         h = make_heuristic(params, moves.families)
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
@@ -1217,6 +1218,9 @@ class TestPartialExpansion:
                 budget = SearchBudget(max_nodes=5000)
                 expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
                 got = best_first(u, moves, cap, h, budget, 0.0)
+                assert got == expected and got.lower_bound > cap, (str(u), cap)
+                expected = full_scan_deepening(u, moves, cap, h, budget, goal_of)
+                got = deepening(u, moves, cap, h, budget, 0.0)
                 assert got == expected and got.lower_bound > cap, (str(u), cap)
 
     def test_lifted_entry_goes_stale(self, monkeypatch):

@@ -20,6 +20,15 @@ fails, and 0 otherwise.
 Code run in subprocesses, such as the CLI and import tests that start a
 new interpreter, is not seen: a line that only a subprocess runs counts
 as unreached.
+
+Three lines stay unreached, and each is meant to stay:
+
+* ``cli.py``'s ``sys.exit(main())`` under ``__main__``, which only the
+  subprocess tests run;
+* two raises that detect a fault their docstrings argue cannot happen,
+  so no test reaches them without breaking the code they guard:
+  ``sandwich_decay_bound``'s re-check of its rearranged witness, and
+  ``pool_bound``'s when no pool row reaches the closed-form bound.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import threading
 from pathlib import Path
 
 #: Most unreached lines allowed; lower it when tests reach more.
-CEILING = 40
+CEILING = 3
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "wordweight"
