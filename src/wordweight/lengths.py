@@ -586,7 +586,14 @@ def xlength(
     otherwise); "bracket" reports certificate-lower/witness-upper without
     searching; "exact" additionally runs exhaustive search when the
     bracket does not already collapse. ``algorithm`` picks the search
-    engine: best-first, deepening, or dual (both, asserting agreement).
+    engine: best-first, deepening, or dual. Dual reports best-first's
+    proven cost c and its path, re-multiplied like every engine path,
+    once deepening, which does not share best-first's quotient bound,
+    has proven on its own that nothing shorter exists: its passes up to
+    c - 1 complete without a path. A shorter path from deepening raises
+    ArithmeticError, and a cross-check cut short by the budget sets
+    ``budget_exhausted`` on the exact result. When best-first runs out,
+    deepening searches up to the full cap instead.
     """
     t0 = time.perf_counter()
     if mode not in ("family", "bracket", "exact"):
@@ -640,7 +647,11 @@ def xlength(
     if algorithm in ("best-first", "dual"):
         outcomes.append(best_first(u, moves, cap, heuristic, budget, t0))
     if algorithm in ("deepening", "dual"):
-        outcomes.append(deepening(u, moves, cap, heuristic, budget, t0))
+        # best-first's proven path is the one reported, so deepening need
+        # only prove that none is shorter than its cost
+        proven = outcomes[0].cost if outcomes else None
+        deep_cap = cap if proven is None else proven - 1
+        outcomes.append(deepening(u, moves, deep_cap, heuristic, budget, t0))
 
     def checked(path, cost: int) -> Factorization:
         # every engine path, proven or not, is re-multiplied before use
@@ -666,9 +677,10 @@ def xlength(
             checked(best.path, best.cost),
             "dual" if algorithm == "dual" else "search",
             exhaustive=True,
-            # In dual mode, flag when the cross-check engine ran out of
-            # budget even though the primary one completed.
-            budget_exhausted=len(found) < len(outcomes),
+            # In dual mode, flag when one engine ran out of budget even
+            # though the other completed: an engine that completes proves
+            # a lower end of at least the cost, one that runs out less.
+            budget_exhausted=any(o.lower_bound < best.cost for o in outcomes),
             nodes=nodes,
         )
 

@@ -35,8 +35,11 @@ letters: d_G of a state's image in a finite quotient G of F_3 that sends
 every expansion to 1 (``Quotient``). It reads it only when a state
 reaches the top of the heap and h is below both the letter count and
 the diameter of G, and an entry it raises is pushed back at its new f
-(lazy A*). Deepening keeps the relaxation alone, so the dual algorithm
-checks each engine against one that does not share the bound.
+(lazy A*). Deepening keeps the relaxation alone, so in the dual
+algorithm (``lengths.xlength``) best-first finds and proves the optimum
+c, its path is re-multiplied, and deepening, which does not share the
+bound, proves on its own that nothing shorter exists: its passes up to
+c - 1 complete without a path.
 
 The goal test is a lookup, not a move: a state is one move from the
 identity exactly when it is the expansion of some move, and the move

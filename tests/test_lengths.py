@@ -1,11 +1,15 @@
+import importlib.util
 import itertools
 import random
+import sys
 from collections import deque
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordweight import lengths
+from wordweight import genset, lengths, words
 from wordweight.errors import (
     ConstraintViolation,
     IndexTooSmall,
@@ -39,7 +43,7 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight.search import Outcome, build_moves, make_heuristic, state_key
+from wordweight.search import Outcome, build_moves, deepening, make_heuristic, state_key
 from wordweight.words import IDENTITY, LETTERS, POW_RUN_LIMIT, Letter, Word
 
 W = Word.parse
@@ -49,6 +53,24 @@ P3 = GenSetParams(base=3, jmin=1)
 
 PHI_C_UPPER = Certificate((0, 0, 1), Direction.UPPER)
 PSI_LOWER = Certificate((0, 1, -1), Direction.LOWER)
+
+
+# reduced words of up to eight letters, as the letters_b2 workload draws
+letter_words = st.lists(st.sampled_from(LETTERS), max_size=8).map(
+    lambda letters: Word.from_runs((letter.base, letter.sign) for letter in letters)
+)
+
+
+def _perfbench_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered first: its dataclasses look their module up by name
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 # exponents reach past 5^4 so that base-5 certificates are not all tied
@@ -449,6 +471,68 @@ class TestXLength:
         monkeypatch.setattr(lengths, "deepening", fake_deepening)
         with pytest.raises(ArithmeticError, match="^search engines disagree on "):
             xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact", algorithm="dual")
+
+    def test_dual_catches_a_suboptimal_best_first_cost(self, monkeypatch):
+        # b^2 a^4 has length 5 (x(1, 1), then b^-1 four times); its six
+        # letters are a valid path one symbol too long, which deepening's
+        # proof below 6 refutes with a path of 5
+        u = W("b^2 a^4")
+        assert xlength(u, P2, algorithm="best-first").lower == 5
+
+        def fake_best_first(u, moves, cap, h, budget, t0):
+            path = [Letter("b", 1)] * 2 + [Letter("a", 1)] * 4
+            return Outcome(6, path, 1, 6)
+
+        monkeypatch.setattr(lengths, "best_first", fake_best_first)
+        with pytest.raises(ArithmeticError, match=r"^search engines disagree on .*\[5, 6\]"):
+            xlength(u, P2, mode="exact", algorithm="dual")
+
+    @staticmethod
+    def check_dual(u) -> int:
+        """Dual's bracket, method and witness are those of best-first, which
+        deepening alone confirms, as when deepening searched up to the
+        bracket's upper end; its nodes are best-first's and those of
+        deepening's passes below the cost, which complete without a path.
+        Returns the number of those nodes."""
+        upper = xlength(u, P2, mode="bracket").upper
+        first = xlength(u, P2, algorithm="best-first")
+        dual = xlength(u, P2, algorithm="dual")
+        assert first.exact and not dual.budget_exhausted
+        method = "dual" if first.method == "search" else first.method  # collapse
+        assert (dual.lower, dual.upper, dual.method, dual.witness) == (
+            first.lower, first.upper, method, first.witness)
+        if method != "dual":
+            return 0
+        assert xlength(u, P2, algorithm="deepening").lower == first.lower
+        moves = build_moves(u, upper, P2, SearchBudget())
+        h = make_heuristic(P2, moves.families)
+        check = deepening(u, moves, first.lower - 1, h, SearchBudget(), 0.0)
+        assert check.cost is None and check.lower_bound >= first.lower
+        assert dual.nodes_expanded == first.nodes_expanded + check.nodes
+        return check.nodes
+
+    @pytest.mark.parametrize("text, nodes", [
+        ("c a^4 b^4 c^-1 a", 9),
+        ("c^2 a^4 b^4 c b a c^-1", 183),
+        ("c a c^-2 b a c^-1 b c^-2 b^-1 c", 713),
+    ])
+    def test_dual_cross_check_that_visits_nodes(self, text, nodes):
+        # on these words h(u) < c, so deepening's proof takes passes
+        assert self.check_dual(W(text)) == nodes
+
+    def test_dual_on_the_letters_b2_corpus(self):
+        # the seed-7 corpus of the benchmark workload that runs dual
+        workloads = _perfbench_workloads()
+        lib = SimpleNamespace(words=words, genset=genset, lengths=lengths)
+        corpus = workloads.LettersB2().make(lib, random.Random(7))
+        assert len(corpus) > 100
+        for item in corpus:
+            self.check_dual(item.word)
+
+    @settings(max_examples=150, deadline=None)
+    @given(letter_words)
+    def test_dual_on_letter_words(self, u):
+        self.check_dual(u)
 
     @pytest.mark.parametrize(
         "u,params,budget",

@@ -1364,6 +1364,12 @@ class TestEngines:
         r = xlength(u, P2, algorithm="dual")
         assert (r.lower, r.upper, r.method) == (1202, 1202, "dual")
         assert not r.budget_exhausted
+        # dual's deepening proves nothing shorter than 1202 at once, as
+        # h(u) = 1202 is above its cap of 1201; alone, it walks the path,
+        # one node a level
+        r = xlength(u, P2, algorithm="deepening")
+        assert (r.lower, r.upper, r.method) == (1202, 1202, "search")
+        assert r.nodes_expanded == 1202 and not r.budget_exhausted
 
     @staticmethod
     def run_to_deadline(engine, monkeypatch) -> tuple[Outcome, int, float]:
