@@ -126,8 +126,6 @@ def build_run_config(args, default_mode: str) -> RunConfig:
     if mode not in ("exact", "bracket", "family"):
         raise ValueError(f"unknown mode {mode!r}")
     max_nodes = _coerce_int(pick(args.max_nodes, "max_nodes", 500_000), "max_nodes")
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     max_ms = pick(args.max_ms, "max_ms", None)
     if max_ms is not None:
         # float() would read a JSON bool as 0 or 1

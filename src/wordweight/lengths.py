@@ -112,11 +112,9 @@ def certificate_pool(base: int) -> tuple[Certificate, ...]:
     )
 
 
-def certified_power_collapse(
-    letter: str, kmax: int, params: GenSetParams
-) -> Certificate:
+def certified_power_collapse(letter: str, params: GenSetParams) -> Certificate:
     """The certificate proving that letter^k has length exactly k, for
-    every k (so for k = 1..kmax).
+    every k >= 1.
 
     The one-letter counting certificate gives the lower bound and the
     trivial letters witness the upper, so no search is involved. ``_row``
@@ -662,6 +660,7 @@ def xlength(
         return witness
 
     nodes = sum(o.nodes for o in outcomes)
+    searched = "dual" if algorithm == "dual" else "search"
     found = [o for o in outcomes if o.cost is not None]
     if found:
         costs = {o.cost for o in found}
@@ -675,7 +674,7 @@ def xlength(
             best.cost,
             best.cost,
             checked(best.path, best.cost),
-            "dual" if algorithm == "dual" else "search",
+            searched,
             exhaustive=True,
             # In dual mode, flag when one engine ran out of budget even
             # though the other completed: an engine that completes proves
@@ -692,6 +691,11 @@ def xlength(
             upper = len(outcome.path)
             witness = checked(outcome.path, upper)
     proven = min(proven, upper)
+    # An engine that completes without a path proves a lower end above
+    # its cap; when every one did and that reaches the witness, as under
+    # a ``max_cost`` below it, the search decided the length.
+    done = proven == upper and all(o.lower_bound > cap for o in outcomes)
     return result(
-        proven, upper, witness, "budget", budget_exhausted=True, nodes=nodes
+        proven, upper, witness, searched if done else "budget", exhaustive=done,
+        budget_exhausted=not done, nodes=nodes,
     )

@@ -19,16 +19,13 @@ built and build only the children that pass (partial expansion). Each
 engine keeps a state's key beside its runs, in the heap entry or the
 frame, so no key is computed twice.
 
-Best-first goes further and builds a passing child only when the search
-reaches it (deferred generation, as in partial-expansion A*). It pushes
-the child as a deferred entry, (f, letters, (), seq, cost, key, parent,
-move), and builds it with ``Move.apply`` when that entry is popped; a
-child with h = 1 is built when pushed, as its goal lookup needs its
-runs. A built entry is (f, letters, runs, cost, key). The empty tuple
-sorts before any runs, so within one (f, letters) every deferred child
-is built before a built entry is popped, and ``seq``, the push order,
-settles ties between deferred children; the pops, parents and paths are
-those of building every passing child at once (``best_first``).
+Best-first goes further and builds a child only when the search
+reaches its f (enhanced partial expansion, EPEA*). A node popped at f
+pushes its children with f or less, and is pushed back once at the least
+f of the rest, the overshoot of its scan; popped there, it pushes the
+children at that f, and so on. So a node keeps at most one entry of its
+own in the heap beside its children's, and the pops, parents and paths
+are those of pushing every passing child at once (``best_first``).
 
 At base 2 best-first also reads a bound that sees the order of the
 letters: d_G of a state's image in a finite quotient G of F_3 that sends
@@ -46,14 +43,16 @@ identity exactly when it is the expansion of some move, and the move
 set's goal table (``MoveSet.goals``) maps the runs of each expansion to
 its generator. So neither engine ever builds the identity, and best-first
 takes an incumbent as soon as it pushes an expansion. Node counts are
-expanded states in both engines.
+expanded states in both engines; best-first counts a node once, at its
+first expansion.
 
 The child scan. Both engines take a node's children from one lazy scan
 (``_children``): the passing children, in move order, the letters first
 and then each family, each scored only when the scan reaches it, and
-the least f of the failing ones folded into a one-cell overshoot. A
-consumer that stops early, as best-first does at a goal, scores nothing
-past the child it stopped at.
+the least f of the failing ones folded into a one-cell overshoot:
+deepening's next pass bound, and the f at which best-first pushes a node
+back. A consumer that stops early, as best-first does at a goal, scores
+nothing past the child it stopped at.
 
 Family scoring. Every index-j inverse has the same abelianisation, so
 a node's children in one family share theirs, and at a fixed
@@ -66,10 +65,9 @@ f of its failing children, for the overshoot, is h at the cutoff. One
 call at the family's floor key (``Family.floor``) first leaves out a
 family none of whose children can pass, when the floor's f is also no
 lower than the overshoot so far: every child's f is at least the
-floor's, so none of them could lower it. Best-first's overshoot cell
-holds 0, so it leaves out every family whose floor fails. A child's
-letter count comes from the runs where the move meets the state, and
-``words.seam`` walks only when two whole runs cancel. Only moves whose
+floor's, so none of them could lower it. A child's letter count comes
+from the runs where the move meets the state, and ``words.seam`` walks
+only when two whole runs cancel. Only moves whose
 tail cancels the state's first run have their counts adjusted, and the
 least count is the least of theirs and the family's least letter count
 plus the state's, so a family whose least child fails is decided without
@@ -610,8 +608,7 @@ def _family_children(
     least f of the failing ones, or infinity if none fails. A family
     whose floor fails and is no lower than ``overshoot`` is left out
     whole, with no child scored and ``over`` infinity, as every child's f
-    is at least the floor's. Best-first, which needs no overshoot, passes
-    0 (``_children``).
+    is at least the floor's.
 
     One cutoff decides every child. The children share the floor key's
     abelianisation, and each one's letter count is at least the floor's,
@@ -684,8 +681,8 @@ def _children(groups, h, key, runs, ncost, limit, over):
     nothing past it. The least f of the failing children is folded into
     the one-cell list ``over``, whose value is also each family's
     overshoot: a family whose floor fails and is no lower than
-    ``over[0]`` is left out. Deepening passes one cell per pass;
-    best-first, which needs no overshoot, a cell holding 0.
+    ``over[0]`` is left out. Deepening passes one cell per pass, and
+    best-first one per search, reset before each scan.
 
     A letter child has one letter more than its parent, or one less when
     the letter cancels the parent's first run; ``anti`` is
@@ -722,115 +719,115 @@ def best_first(
     ``u`` is not the identity: ``xlength`` answers the identity with the
     bracket [0, 0] before it searches.
 
-    Heap entries come in two layouts. A built entry is
-    (f, letters, runs, cost, key): a state's runs and its key ride with
-    it. A deferred entry is (f, letters, (), seq, cost, key, parent,
-    move): a child not yet built, named by the runs of the state it was
-    reached from and the move between them, with ``seq`` the number of
-    deferred entries pushed before it. A child with h = 1 is built when
-    it is pushed, as its goal lookup needs its runs; every other child
-    that passes is pushed deferred and built (``Move.apply``) only when
-    its entry is popped, so a child the search never reaches is never
-    multiplied out or hashed (deferred generation, as in partial-expansion
-    A*). One dict, ``best``, keyed by runs, holds for each state built its
-    least cost g so far, its parent and the generator between them, as
-    (g, parent, generator); the root's parent is None. A deferred child
-    built at a cost no lower than ``best`` holds for it is dropped.
-    Otherwise it enters ``best``, and it goes on to the quotient gate at
-    once if it sorts before every entry left in the heap, and is pushed
-    back built if not. A built entry popped at a cost above ``best``'s is
-    stale and skipped.
+    Every heap entry is (f, letters, number, runs, cost, key, done): a
+    state's runs and key ride with it. One dict, ``best``, keyed by runs,
+    holds for each state pushed its least cost g so far, its parent and
+    the generator between them, as (g, parent, generator); the root's
+    parent is None. An entry popped at a cost above ``best``'s is stale
+    and skipped.
 
-    The quotient bound, read lazily. At base 2 (``quotient``) the state
-    that passes those checks, with runs r, key and cost g, has
-    h = f - g. If h < min(|r|, diam G), d = d_G(phi(r)) is read, and if
-    g + d > f the entry is pushed back built at f' = g + d, or dropped
-    when f' > cap, and not expanded (lazy A*: the costly heuristic is
-    read only when a state reaches the top). The gate loses nothing:
-    h <= |r| always (H(0) = |r|, ``make_heuristic``), h = |r| makes h the
-    length itself, as the letters spell r, and d_G <= diam G, so d
-    exceeds h only inside the gate. d is admissible, as phi sends every
-    expansion to 1, and consistent, as a move changes phi(r) by one
-    letter's image or not at all. So the search is the one that scores
-    every child by h' = max(h, d) when it pushes it (the eager scan),
-    each entry keyed below or at its eager f.
+    Enhanced partial expansion (EPEA*, Felner et al. 2012). A state's own
+    entry has ``number`` and ``done`` 0. Popped at f, the state is
+    expanded: it takes the node count as its ``number`` and builds
+    (``Move.apply``) and pushes its children with f or less, each unless
+    ``best`` holds it at no greater cost. The node is then pushed back
+    once, as (f', 0, number, runs, cost, key, f), at f' the least f of
+    the children left, the overshoot of its scan (``_children``), unless
+    f' is above the limit, min(cap, incumbent - 1). Popped there, it
+    scans again, pushes the children with f in (done, f'] and is pushed
+    back at the next overshoot. So one node builds no child twice, and
+    builds a child only when the search reaches its f. The node count
+    and ``max_nodes`` count first expansions, and only they pass the
+    quotient gate below; the deadline is read before every scan.
+
+    The quotient bound, read lazily. At base 2 (``quotient``) a state's
+    own entry, with runs r, key and cost g, has h = f - g. If
+    h < min(|r|, diam G), d = d_G(phi(r)) is read, and if g + d > f the
+    entry is pushed back at f' = g + d, or dropped when f' > cap, and not
+    expanded (lazy A*: the costly heuristic is read only when a state
+    reaches the top). The gate loses nothing: h <= |r| always
+    (H(0) = |r|, ``make_heuristic``), h = |r| makes h the length itself,
+    as the letters spell r, and d_G <= diam G, so d exceeds h only inside
+    the gate. d is admissible, as phi sends every expansion to 1, and
+    consistent, as a move changes phi(r) by one letter's image or not at
+    all. So the search is the one that scores every child by
+    h' = max(h, d) when it pushes it (the eager scan), each state's entry
+    keyed below or at its eager f.
 
     Each child is scored before it is built: its key is the parent's
     abelianisation plus the move's, and the two letter counts less the
     letters cancelled at the seam, so f = cost + h(key) needs no product.
-    A child with f above the limit, min(cap, incumbent - 1), is skipped
-    unpushed. The children come from the scan both engines share
-    (``_children``), with an overshoot cell holding 0: a letter is
-    scored when the scan reaches it, and a family's children together
-    (``_family_children``): they pass exactly below one cutoff letter
-    count, so h is read once for each distinct letter count up to it,
-    which gives every passing child's f, and a family whose floor has f
-    above the limit is left out after one call. The limit is fixed while
-    a node is scanned, until the goal hit that stops the scan, and the
-    scan scores nothing past the child it stops at, so the left-out
-    children are exactly ones a full scan would have skipped one by one.
+    The children come from the scan both engines share (``_children``),
+    whose limit is the popped entry's f, never above the search's limit:
+    a letter is scored when the scan reaches it, and a family's children
+    together (``_family_children``): they pass exactly below one cutoff
+    letter count, so h is read once for each distinct letter count up to
+    it, and a family whose floor fails, and is no lower than the
+    overshoot so far, is left out after one call.
 
-    The expansions are those of the eager scan, which built each child
-    that passed h' and pushed it built at its h' unless ``best`` held it
-    at no greater cost. h and h' are functions of the state, so a state
-    has one letter count and, at one cost, one f and one f' by every
-    parent, and it is either always built at push or always deferred.
-    Entries compare by (f, letters) first, and within one (f, letters)
-    () sorts before any runs, so every deferred entry there is built
-    before any built entry there is popped, and is pushed back among them
-    unless it is the least; a lifted entry is pushed back built at its
-    f', and the gate lets it through when it is popped there. An entry is
-    expanded only at its eager key (f', letters, runs), while every entry
-    left is keyed no lower than it and so is every eager key left: the
-    expansions come in the eager order. A state reached twice at one cost
-    has two entries with one key, built in ``seq`` order, which is push
-    order, so the first parent to reach it is its parent, as in the eager
-    scan, and the later entry is dropped, as its eager push was. A state
-    reached at a lower cost has a lower f, so an entry at a higher cost is
-    either dropped when built, where its eager entry was stale or never
-    pushed, or built before the lower one is pushed. Built entries,
-    pushed back by either rule or at h = 1, then go stale as their eager
-    entries did: no target tried over this package's move sets reaches a
-    state more cheaply after building it, but a move set with a shortcut
-    does (``tests/test_search.py``, ``test_lifted_entry_goes_stale``). An
-    entry lifted above the cap had an eager f' above the limit and was
-    never pushed. One lifted to or above the incumbent was either never
-    pushed or lay in the eager heap at that f'; either way the search
-    ends when it would be popped, with the same result. So the states
+    The expansions are those of the eager scan, which pushed every child
+    that passed when its parent was expanded. A pushed-back entry stands
+    for the children its node has left: its f is at most theirs, and its
+    letters, 0, sort it before every state's entry at that f, as only the
+    identity, which is never pushed, has no letters. So a state's entry
+    reaches the top only when every child left has a greater f, and it
+    is then also the least of the eager heap, which holds the same
+    states' entries and those children; a lifted entry is pushed back at
+    its f', and the gate lets it through when it is popped there.
+    Pushed-back entries at one f come back in ``number`` order, the order
+    of first expansions, and each pushes its children at that f in move
+    order, as the eager scan pushed them: a state reached twice at one
+    cost keeps the parent the eager scan gave it, and the later push is
+    dropped, as its eager push was. A child whose f the limit has fallen
+    below before its node came back, or an entry lifted to or above the
+    incumbent, lay in the eager heap at f >= incumbent, where the search
+    ends; one lifted above the cap was never pushed. So the states
     expanded, their order and parents, the incumbent, the node count,
-    cost and path are those of the eager scan.
+    cost and path are those of the eager scan. Entries go stale as their
+    eager entries did: no target tried over this package's move sets
+    reaches a state more cheaply after pushing it, but a move set with a
+    shortcut does (``tests/test_search.py``,
+    ``test_lifted_entry_goes_stale``).
 
-    Goal test. A state is looked up in the goal table each time it is
-    pushed built, the root before the loop, but never a child with h > 1:
-    as h is admissible, that child is more than one move from the
-    identity, so it is no expansion. A hit on a state X pushed
-    at cost g is a factorization with g + 1 symbols: the path to X, then
-    the generator the table names. X passed f <= limit with h(X) = 1
-    (h >= 1 off the identity, and h <= 1 one move from it), so g + 1 is
-    below the incumbent and replaces it, and the limit drops to g. Every
-    other child of X's parent then has f > g: f >= g + 1 off the
-    identity, and the identity is a child only of an expansion, which set
-    an incumbent of at most g when it was pushed. So the scan stops, and
-    a node whose children cost g is not scanned at all once limit <= g.
+    Goal test. The root is looked up in the goal table before the loop,
+    and a child when it is pushed with h = 1; as h is admissible, a child
+    with h > 1 is more than one move from the identity, so it is no
+    expansion. A hit on a state X pushed at cost g is a factorization
+    with g + 1 symbols: the path to X, then the generator the table
+    names. X passed f <= limit with h(X) = 1 (h >= 1 off the identity,
+    and h <= 1 one move from it), so g + 1 is below the incumbent and
+    replaces it, and the limit drops to g. Every other child of X's
+    parent then has f > g: f >= g + 1 off the identity, and the identity
+    is a child only of an expansion, which set an incumbent of at most g
+    when it was pushed. So the scan stops, the node is not pushed back,
+    and a node whose children cost g is not scanned at all once
+    limit <= g.
 
-    Optimality. A state is pushed when an entry for it, built or
-    deferred, enters the heap. Suppose a factorization of c* <= cap
-    symbols, with states s_0 = u, ..., s_c* = 1, and an incumbent that
-    stays above c* or unset. Then every limit is at least c*, and each
-    s_i with i < c* has f <= f' <= i + (c* - i) = c* at cost i, the least
-    cost at which it can be reached. By induction each such s_i is pushed
-    at cost i: s_(i-1) is in the heap at cost i - 1, its least, with
-    f < incumbent, so its entries at that cost are popped before the
-    search ends, the first of them is neither dropped nor stale and is
-    expanded, after at most one lift, to f' <= c* <= cap, and its scan
-    reaches s_i, as a stop needs limit <= i < c*.
-    Pushing s_(c*-1), an expansion, sets an incumbent of at most c*, a
-    contradiction.
+    Optimality, and the lower end at the budget. Take a factorization of
+    c* <= cap symbols, with states s_0 = u, ..., s_c* = 1, while the
+    incumbent stays above c* or unset. Every limit is then at least c*,
+    and s_i, at its least cost i, has f <= f' <= c*. Some entry in the
+    heap has f <= c*. Take the last s_i pushed at cost i (s_0 is the
+    root); i < c* - 1, as pushing the expansion s_(c*-1) sets an
+    incumbent of at most c*. Its entry at its least cost is never stale.
+    If it has not been expanded, it is in the heap, lifted at most to
+    f' <= c*. If it has, no scan of it has reached s_(i+1), or that
+    child would have been pushed at cost i + 1 or found there already,
+    and no scan of it stopped at a goal, which would have set an
+    incumbent of i + 2 <= c*; so its pushed-back entry is in the heap at
+    f at most s_(i+1)'s. Hence the search neither runs dry nor returns at
+    f >= incumbent while such a factorization is left, and as it pushes
+    each state at most once per cost below the cap, and a node back at a
+    higher f each time, it ends with an incumbent of at most c*. When
+    the budget runs out instead, the entry just popped was the least in
+    the heap, so every factorization not yet found has at least its f
+    symbols: f is a proven lower end, below the incumbent and at most
+    ``cap``, as nothing above the cap is pushed.
 
     The heap never runs dry with an incumbent. One is set before the
     loop when the root is an expansion, and the root's entry then has
     f = h(u) = 1 = incumbent (h >= 1 off the identity, h <= 1 one move
-    from it); later ones are set as an expansion is pushed built, at
+    from it); later ones are set as an expansion is pushed, at
     f = ncost + 1 = incumbent. Entries leave the heap only by the pop at
     the top of the loop, and the incumbent only falls, so that entry
     stays until it is popped at f >= incumbent, and the test there
@@ -838,11 +835,11 @@ def best_first(
 
     The incumbent is a real path with exactly that many symbols. It is
     recorded as (X, generator), X the runs of a state, with incumbent =
-    g(X) + 1, and g(X) drops only with a push of X, built as h(X) = 1,
-    which looks X up again and lowers the incumbent with it. Runs are
-    reduced, so equal runs are one state, and a key by runs names the
-    state a Word key named. Parent links point to states of smaller g,
-    so ``_rebuild`` walks from X back to the runs of u in at most g(X)
+    g(X) + 1, and g(X) drops only with a push of X at h(X) = 1, which
+    looks X up again and lowers the incumbent with it. Runs are reduced,
+    so equal runs are one state, and a key by runs names the state a
+    Word key named. Parent links point to states of smaller g, so
+    ``_rebuild`` walks from X back to the runs of u in at most g(X)
     steps: a real factorization of at most incumbent symbols. A proven
     incumbent is optimal, so the walk has exactly g(X) steps. When the
     budget runs out, the walk is returned unproven and its own length is
@@ -853,71 +850,64 @@ def best_first(
     if start_h > cap:
         return Outcome(None, None, 0, start_h)
     deadline = _deadline(budget, t0)
-    goals = moves.goals
+    goals, groups = moves.goals, moves.groups
     start = u.runs
     best: dict[Runs, tuple[int, Runs | None, Gen | None]] = {start: (0, None, None)}
-    unseen = (_INF,)  # what ``best`` holds for a state never built
-    heap: list[tuple] = [(start_h, root[3], start, 0, root)]
+    unseen = (_INF,)  # what ``best`` holds for a state never pushed
+    heap: list[tuple] = [(start_h, root[3], 0, start, 0, root, 0)]
     incumbent: int | None = None
     last: tuple[Runs, Gen] | None = None  # the incumbent's expansion state
     gen = goals.get(start)
     if gen is not None:
         incumbent, last = 1, (start, gen)
-    nodes = seq = 0
-    no_overshoot = [0]
+    nodes = 0
+    over = [_INF]  # the least f of the children a scan leaves unpushed
     quot = quotient(moves.base)
     reach = quot.diameter if quot else 0  # d_G is at most this
     while heap:
-        entry = heappop(heap)
-        f = entry[0]
+        f, letters, number, runs, cost, key, done = heappop(heap)
         if incumbent is not None and f >= incumbent:
             return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
-        if entry[2]:
-            _, _, runs, cost, key = entry
-            if cost > best[runs][0]:
-                continue  # stale entry
-        else:  # a deferred child: build it now
-            _, letters, _, _, cost, key, parent, move = entry
-            runs = move.apply(parent)
-            if cost >= best.get(runs, unseen)[0]:
-                continue  # built before at no greater cost
-            best[runs] = (cost, parent, move.gen)
-            if heap and heap[0] < (f, letters, runs):
-                heappush(heap, (f, letters, runs, cost, key))
-                continue
-        if (h_now := f - cost) < reach and h_now < key[3]:
-            lifted = cost + quot.distance(runs)
-            if lifted > f:
-                if lifted <= cap:
-                    heappush(heap, (lifted, key[3], runs, cost, key))
-                continue
-        nodes += 1
-        if nodes > budget.max_nodes or (
-            deadline is not None and time.perf_counter() > deadline
-        ):
-            # an incumbent found before running dry is still a valid witness,
-            # just not proven optimal
-            partial = _rebuild(best, start, last) if incumbent is not None else None
-            return Outcome(None, partial, nodes, 0)
+        if cost > best[runs][0]:
+            continue  # stale entry
+        if not number:  # the state's own entry: its first expansion
+            if (h_now := f - cost) < reach and h_now < letters:
+                lifted = cost + quot.distance(runs)
+                if lifted > f:
+                    if lifted <= cap:
+                        heappush(heap, (lifted, letters, 0, runs, cost, key, 0))
+                    continue
+            nodes += 1
+            if nodes > budget.max_nodes:
+                break
+            number = nodes
         ncost = cost + 1
         limit = cap if incumbent is None else min(cap, incumbent - 1)
         if limit <= ncost:
             continue  # every child has f >= ncost + 1
-        children = _children(moves.groups, h, key, runs, ncost, limit, no_overshoot)
-        for value, move, nkey in children:
-            if value != 1:
-                seq += 1
-                heappush(heap, (ncost + value, nkey[3], (), seq, ncost, nkey, runs, move))
-                continue
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        over[0] = _INF
+        for value, move, nkey in _children(groups, h, key, runs, ncost, f, over):
+            if ncost + value <= done:
+                continue  # pushed by an earlier scan of this node
             nxt = move.apply(runs)
             if ncost < best.get(nxt, unseen)[0]:
                 best[nxt] = (ncost, runs, move.gen)
-                heappush(heap, (ncost + 1, nkey[3], nxt, ncost, nkey))
-                if (gen := goals.get(nxt)) is not None:
+                heappush(heap, (ncost + value, nkey[3], 0, nxt, ncost, nkey, 0))
+                if value == 1 and (gen := goals.get(nxt)) is not None:
                     incumbent, last = ncost + 1, (nxt, gen)
                     break  # the limit is now ncost
-    # Whole graph below the cap explored without reaching the target.
-    return Outcome(None, None, nodes, cap + 1)
+        else:
+            if over[0] <= limit:
+                heappush(heap, (over[0], 0, number, runs, cost, key, f))
+    else:
+        # Whole graph below the cap explored without reaching the target.
+        return Outcome(None, None, nodes, cap + 1)
+    # The budget ran out. An incumbent is still a valid witness, just not
+    # proven optimal, and no path is shorter than the f just popped.
+    partial = _rebuild(best, start, last) if incumbent is not None else None
+    return Outcome(None, partial, nodes, f)
 
 
 def _rebuild(parents: dict, start: Runs, last: tuple[Runs, Gen]) -> list[Gen]:

@@ -140,16 +140,16 @@ def test_criterion_02_dual_oracle_agreement(exact_suite):
 
 def test_criterion_03_certificate_collapse():
     started = time.perf_counter()
-    cert = certified_power_collapse("c", 10**6, P5)
+    cert = certified_power_collapse("c", P5)
     elapsed = time.perf_counter() - started
-    assert elapsed < 1.0, f"collapse scan took {elapsed:.3f} s"
-    # the scan's arithmetic is the general certificate path: spot-check it
+    assert elapsed < 1.0, f"certificate check took {elapsed:.3f} s"
+    # one certificate covers every k: spot-check it on the general path
     for k in (1, 2, 17, 12_345, 10**6):
         u = Word((("c", k),))
         assert eval_certificate(cert, u, P5) == k == u.s_length
         result = xlength(u, P5, mode="bracket")
         assert result.exact and result.lower == k and result.nodes_expanded == 0
-    report(3, f"|c^k| = k for k=1..10^6 with no search, {elapsed*1000:.0f} ms")
+    report(3, f"|c^k| = k for every k >= 1 with no search, {elapsed*1000:.0f} ms")
 
 
 def test_criterion_04_block_witnesses_paper_scale():

@@ -452,6 +452,20 @@ class TestXLength:
         assert not r.exact and r.budget_exhausted
         assert r.lower <= 126 <= r.upper
 
+    @pytest.mark.parametrize("algorithm", ["best-first", "deepening", "dual"])
+    @pytest.mark.parametrize("text", ["c a c^-2 b a c^-1 b c^-2 b^-1 c", "a^4 b^4 c"])
+    def test_search_below_max_cost_decides_the_length(self, text, algorithm):
+        # every engine completes below max_cost = upper - 1 without a
+        # path, which proves the witness's length: the search decided it
+        # (on a^4 b^4 c, with no node, as h(u) is above the cap)
+        u = W(text)
+        upper = xlength(u, P2, mode="bracket").upper
+        assert xlength(u, P2).lower == upper
+        r = xlength(u, P2, SearchBudget(max_cost=upper - 1), algorithm=algorithm)
+        method = "dual" if algorithm == "dual" else "search"
+        assert (r.lower, r.upper, r.method) == (upper, upper, method)
+        assert r.exhaustive and not r.budget_exhausted
+
     @pytest.mark.parametrize("cost", [None, 1])
     def test_invalid_engine_path_raises(self, monkeypatch, cost):
         # a one-symbol path that does not multiply back to the target, as a

@@ -8,11 +8,12 @@ and the child scan both engines share against a per-child scan; the
 one-step child builder against the general product, the least child
 count, and the checks on a search budget's fields;
 differential tests of exact lengths, through xlength and of the two
-engines called directly; the deadlines of the
-listing and of both engines; and both engines against
-full-scan references: best-first's partial expansion and deferred
-builds against the full-expansion loop it replaced, on fixed targets and
-on random words, deepening against a plain recursive one."""
+engines called directly, and the bracket a budgeted best-first search
+proves; the deadlines of the listing and of both engines; the heap
+best-first holds; and both engines against full-scan references:
+best-first's partial expansion, which pushes a node back instead of
+its children, against the full-expansion loop it replaced, on fixed
+targets and on random words, deepening against a plain recursive one."""
 
 import itertools
 import os
@@ -895,8 +896,9 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift):
             continue  # stale entry
         nodes += 1
         if nodes > budget.max_nodes:
+            # every path not yet found has a state in the heap at f <= its cost
             partial = _rebuild(parents, u, last) if incumbent is not None else None
-            return Outcome(None, partial, nodes, 0)
+            return Outcome(None, partial, nodes, f)
         ncost = cost + 1
         for move in moves.moves:
             limit = cap if incumbent is None else min(cap, incumbent - 1)
@@ -1077,44 +1079,65 @@ class BuildRecord:
 
     def __init__(self):
         self.total = self.ties = 0
+        self.child = None
         self.start()
 
     def start(self):
-        self.pops = self.at_top = self.at_push = self.stray = 0
-        self.top = None  # the deferred entry popped last, until it is built
-        self.costs = {}  # the cost each state was first built at from the top
+        self.settle()
+        self.twice = self.unsettled = 0
+        self.built = set()  # (parent runs, move) of each child built
+        self.reached = {}  # runs -> the cost it was first built at
+        self.least = {}  # runs -> the least cost it was pushed at
+        self.top = None  # the entry popped last
+
+    def settle(self):
+        """The child built last, ``child`` as (runs, cost), was not
+        pushed: it must have been pushed before at no greater cost."""
+        if self.child is not None:
+            runs, cost = self.child
+            self.unsettled += self.least.get(runs, float("inf")) > cost
+            self.child = None
 
 
-def recording_builds(monkeypatch, h) -> BuildRecord:
-    """Patches ``search.heappop`` and ``search.Move.apply`` to sort each
-    child that best-first builds: at the top, the child of the deferred
-    entry popped last; at push, a child with h = 1; else stray. A child
-    built at the top at the cost some earlier one of the same state had
-    there is a tie: one state reached from two parents at one cost."""
+def recording_builds(monkeypatch) -> BuildRecord:
+    """Patches ``search.heappop``, ``search.heappush`` and
+    ``search.Move.apply`` to check each child that best-first builds: it
+    is pushed at once, or dropped as pushed before at no greater cost,
+    and no (parent, move) is built twice in one search. A child built at
+    the cost it was first built at is a tie: one state reached from two
+    parents at one cost."""
     record = BuildRecord()
     apply = search.Move.apply
 
     def recorded_pop(heap):
+        record.settle()
         entry = heappop(heap)
-        record.pops += 1
-        record.top = None if entry[2] else entry
+        record.least.setdefault(entry[3], entry[4])  # the root is not pushed
+        record.top = entry
         return entry
 
+    def recorded_push(heap, entry):
+        if record.child == (entry[3], entry[4]):
+            record.child = None
+            record.least[entry[3]] = entry[4]
+        heappush(heap, entry)
+
     def recorded_apply(move, runs):
+        record.settle()
         child = apply(move, runs)
+        cost = record.top[4] + 1
         record.total += 1
-        top, record.top = record.top, None
-        if top is not None and top[6] is runs and top[7] is move:
-            record.at_top += 1
-            record.ties += record.costs.get(child) == top[4]
-            record.costs.setdefault(child, top[4])
-        elif h(state_key(Word(child))) == 1:
-            record.at_push += 1
+        record.twice += (runs, move) in record.built
+        record.built.add((runs, move))
+        if child in record.reached:
+            record.ties += record.reached[child] == cost
         else:
-            record.stray += 1
+            record.reached[child] = cost
+        record.child = (child, cost)
         return child
 
     monkeypatch.setattr(search, "heappop", recorded_pop)
+    monkeypatch.setattr(search, "heappush", recorded_push)
     monkeypatch.setattr(search.Move, "apply", recorded_apply)
     return record
 
@@ -1154,7 +1177,7 @@ class TestPartialExpansion:
         goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
         lift = quotient_distance(params.base)
         skips = counting_skips(monkeypatch)
-        builds = recording_builds(monkeypatch, h)
+        builds = recording_builds(monkeypatch)
         for u in self.targets(spec, extra):
             cap = xlength(u, params, mode="bracket").upper
             for max_nodes in budgets:
@@ -1162,15 +1185,14 @@ class TestPartialExpansion:
                 expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
                 builds.start()
                 got = best_first(u, moves, cap, h, budget, 0.0)
+                builds.settle()
                 assert got == expected, str(u)
-                # A child is built only when its deferred entry reaches
-                # the top of the heap, or at push when its h is 1, so at
-                # most one child a pop is built besides those.
-                built = builds.at_top + builds.at_push + builds.stray
-                assert builds.stray == 0, str(u)
-                assert built <= builds.pops + builds.at_push, str(u)
+                # each scan builds only children no earlier scan of the
+                # node built, and pushes each one unless it was pushed
+                # before at no greater cost
+                assert builds.twice == builds.unsettled == 0, str(u)
         # some state was reached from two parents at one cost, so the
-        # tie-break among deferred entries was exercised
+        # order in which pushed-back nodes come back was exercised
         assert builds.total and builds.ties and skips[0]
 
     @settings(max_examples=150, deadline=None)
@@ -1223,8 +1245,32 @@ class TestPartialExpansion:
                 got = deepening(u, moves, cap, h, budget, 0.0)
                 assert got == expected and got.lower_bound > cap, (str(u), cap)
 
+    # base-3 targets with a state reached from two parents at one cost:
+    # keying a pushed-back node by its runs instead of its first
+    # expansion's number returns another optimal path on each, and keying
+    # it by its own letter count instead of 0 expands more nodes on each
+    BASE3_TIES = [
+        ("a^10 b^8 a b", 300),
+        ("a^10 b^8 a b", 5000),
+        ("a c^-1 a^11 b^10 a b^-1 a", 5000),
+        ("a c^-1 b^-1 a^9 b^9 a^-1 b a", 5000),
+    ]
+
+    @pytest.mark.parametrize("text, max_nodes", BASE3_TIES)
+    def test_base3_ties_match_full_expansion(self, text, max_nodes):
+        params, moves = move_set(3, 0)
+        h = make_heuristic(params, moves.families)
+        goal_of = {expand_generator(mv.gen, params): mv.gen for mv in moves.moves}
+        u = Word.parse(text)
+        cap = xlength(u, params, mode="bracket").upper
+        budget = SearchBudget(max_nodes=max_nodes)
+        expected = full_expansion_best_first(
+            u, moves, cap, h, budget, goal_of, quotient_distance(3)
+        )
+        assert best_first(u, moves, cap, h, budget, 0.0) == expected
+
     def test_lifted_entry_goes_stale(self, monkeypatch):
-        # A lifted entry is pushed back built, and its state may then be
+        # A lifted entry is pushed back, and its state may then be
         # reached at a lower cost, which leaves the entry stale. No
         # target tried over the real move sets does so; over the letters
         # and one move a^2, which phi sends to 1, with h = ceil(|r| / 2),
@@ -1242,23 +1288,19 @@ class TestPartialExpansion:
         def h(key):
             return -(-key[3] // 2)
 
-        least = {}  # runs -> the least cost it was built or pushed built at
+        least = {}  # runs -> the least cost it was pushed at
         stale = []
 
         def pop(heap):
             entry = heappop(heap)
-            if entry[2]:
-                runs, cost = entry[2], entry[3]
-                if least.get(runs, cost) < cost:  # the root is never pushed
-                    stale.append(Word(runs))
-            else:
-                runs, cost = entry[7].apply(entry[6]), entry[4]
-            least[runs] = min(cost, least.get(runs, cost))
+            runs, cost = entry[3], entry[4]
+            if least.get(runs, cost) < cost:  # the root is never pushed
+                stale.append(Word(runs))
             return entry
 
         def push(heap, entry):
-            if entry[2]:
-                least[entry[2]] = min(entry[3], least.get(entry[2], entry[3]))
+            runs, cost = entry[3], entry[4]
+            least[runs] = min(cost, least.get(runs, cost))
             heappush(heap, entry)
 
         monkeypatch.setattr(search, "heappop", pop)
@@ -1356,6 +1398,24 @@ class TestEngines:
             if cut.cost is None and cost is not None:
                 assert cut.lower_bound <= cost, str(u)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(engine_targets()), st.integers(1, 30))
+    @example(Word.parse("a^4 b^5"), 3)  # 10 nodes to prove 4
+    def test_budgeted_bracket_holds_the_length(self, u, max_nodes):
+        # best-first cut short by its node budget still brackets the
+        # length: the lower end is the f it popped last, the upper end its
+        # incumbent's path or the cap
+        params, moves = move_set(2, 0)
+        h = make_heuristic(params, moves.families)
+        cap = xlength(u, params, mode="bracket").upper
+        out = best_first(u, moves, cap, h, SearchBudget(max_nodes=max_nodes), 0.0)
+        upper = cap if out.path is None else len(out.path)
+        length = blind_length(u)  # the length, when below 6
+        if length < 6:
+            assert out.lower_bound <= length <= upper, str(u)
+        else:
+            assert upper >= 6, str(u)
+
     def test_paths_deeper_than_the_recursion_limit(self):
         # every optimal path has 1202 steps; deepening recursed once per
         # step and raised RecursionError here
@@ -1370,6 +1430,23 @@ class TestEngines:
         r = xlength(u, P2, algorithm="deepening")
         assert (r.lower, r.upper, r.method) == (1202, 1202, "search")
         assert r.nodes_expanded == 1202 and not r.budget_exhausted
+
+    def test_heap_holds_few_entries_per_node(self, monkeypatch):
+        # A node pushes the children up to its own f and keeps one entry
+        # of its own for the rest, so the heap grows with the nodes
+        # expanded: one deferred entry per passing child held 117 a node
+        # here.
+        peak = [0]
+
+        def push(heap, entry):
+            heappush(heap, entry)
+            peak[0] = max(peak[0], len(heap))
+
+        monkeypatch.setattr(search, "heappush", push)
+        u = Word.parse("a^16 b^16 c^4 a^16 b^16 c")
+        r = xlength(u, P2, SearchBudget(max_nodes=2000))
+        assert r.budget_exhausted and r.nodes_expanded == 2001
+        assert 0 < peak[0] <= 10 * r.nodes_expanded
 
     @staticmethod
     def run_to_deadline(engine, monkeypatch) -> tuple[Outcome, int, float]:
@@ -1402,7 +1479,17 @@ class TestEngines:
         assert overrun_ms < 100  # one node takes at most about 1 ms
 
     def test_best_first_deadline_on_index2_moves(self, monkeypatch):
-        # the same for best-first, whose clock read is at each node popped
+        # the same for best-first, whose clock is read before each scan:
+        # a node's first, and each one after it is pushed back. The read
+        # that finds the deadline passed is followed by none.
+        scans = []
+        scan = search._children
+
+        def counted(*args):
+            scans.append(None)
+            return scan(*args)
+
+        monkeypatch.setattr(search, "_children", counted)
         out, reads, overrun_ms = self.run_to_deadline(best_first, monkeypatch)
-        assert out.cost is None and reads == out.nodes > 0
+        assert out.cost is None and reads == len(scans) + 1 and out.nodes > 0
         assert overrun_ms < 100
