@@ -1,11 +1,11 @@
 """Command-line front end emitting machine-readable verification reports.
 
 Exit codes: 0 all checks pass, 1 a verification row failed, 2 bad input
-or configuration, 3 a budget was exhausted and only a bracket is
-reported. Reports embed the full run configuration so results at scaled
-bases can never be mistaken for canonical-base results; byte-identical
-output is guaranteed for identical inputs apart from the timestamp and
-ms fields.
+or configuration, 3 a budget ran out before every engine proved the
+reported lower end. Reports embed the full run configuration so results
+at scaled bases can never be mistaken for canonical-base results;
+byte-identical output is guaranteed for identical inputs apart from the
+timestamp and ms fields.
 """
 
 from __future__ import annotations

@@ -525,37 +525,41 @@ def single_biggen_cancellation(
 class LengthResult(ValueRecord):
     """Bracket [lower, upper] on the extended word length.
 
-    ``exact`` iff the bracket collapsed; ``exhaustive`` marks exactness
-    established by completed search rather than by certificate collapse
-    or a closed-form family. ``method`` is one of family/collapse/search/
-    dual/bracket/budget.
+    ``method`` is one of family/collapse/search/dual/bracket/budget.
+    ``exact`` and ``exhaustive`` are read from the rest, not stored:
+    ``exact`` iff the bracket collapsed, and ``exhaustive`` iff the
+    search decided the length (method search or dual), rather than
+    certificate collapse or a closed-form family.
     """
 
-    __slots__ = ("lower", "upper", "witness", "certificate", "exact", "exhaustive",
-                 "budget_exhausted", "nodes_expanded", "ms", "method")
+    __slots__ = ("lower", "upper", "witness", "certificate", "budget_exhausted",
+                 "nodes_expanded", "ms", "method")
 
     def __init__(self, lower: int, upper: int, witness: Factorization | None,
-                 certificate: Certificate | None, exact: bool, exhaustive: bool,
-                 budget_exhausted: bool, nodes_expanded: int, ms: float, method: str):
+                 certificate: Certificate | None, budget_exhausted: bool,
+                 nodes_expanded: int, ms: float, method: str):
         if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
-        if exact != (lower == upper):
-            raise ValueError("exact flag inconsistent with bracket")
         _set(self, "lower", lower)
         _set(self, "upper", upper)
         _set(self, "witness", witness)
         _set(self, "certificate", certificate)
-        _set(self, "exact", exact)
-        _set(self, "exhaustive", exhaustive)
         _set(self, "budget_exhausted", budget_exhausted)
         _set(self, "nodes_expanded", nodes_expanded)
         _set(self, "ms", ms)
         _set(self, "method", method)
 
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.method in ("search", "dual")
+
     def _fields(self) -> tuple:
-        return (self.lower, self.upper, self.witness, self.certificate, self.exact,
-                self.exhaustive, self.budget_exhausted, self.nodes_expanded, self.ms,
-                self.method)
+        return (self.lower, self.upper, self.witness, self.certificate,
+                self.budget_exhausted, self.nodes_expanded, self.ms, self.method)
 
 
 def _bracket_parts(u: Word, params: GenSetParams):
@@ -584,14 +588,23 @@ def xlength(
     otherwise); "bracket" reports certificate-lower/witness-upper without
     searching; "exact" additionally runs exhaustive search when the
     bracket does not already collapse. ``algorithm`` picks the search
-    engine: best-first, deepening, or dual. Dual reports best-first's
-    proven cost c and its path, re-multiplied like every engine path,
-    once deepening, which does not share best-first's quotient bound,
-    has proven on its own that nothing shorter exists: its passes up to
-    c - 1 complete without a path. A shorter path from deepening raises
-    ArithmeticError, and a cross-check cut short by the budget sets
-    ``budget_exhausted`` on the exact result. When best-first runs out,
-    deepening searches up to the full cap instead.
+    engine: best-first, deepening, or dual. Dual runs best-first, then
+    deepening, which does not share best-first's quotient bound: up to
+    c - 1 when best-first proved a path of c symbols, so that its passes
+    prove on their own that nothing shorter exists, else up to the full
+    cap.
+
+    One rule turns what the engines proved (``Outcome``) into the
+    result, taking their outcomes in order. A path replaces the witness
+    when it is shorter, or as long and proven optimal; every such path
+    is re-multiplied first. The lower end is the largest of the
+    certificate's and the outcomes' ``lower``, and one above the
+    witness raises ArithmeticError. The method is search or dual when
+    the lower end reaches the witness, else budget, and
+    ``budget_exhausted`` is set when some engine's ``lower`` stays
+    below the witness: a search cut short whose lower end still reaches
+    the witness has decided the length, and a dual cross-check cut
+    short flags the exact result.
     """
     t0 = time.perf_counter()
     if mode not in ("family", "bracket", "exact"):
@@ -600,15 +613,13 @@ def xlength(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     budget = budget or SearchBudget()
 
-    def result(lower, upper, witness, method, exhaustive=False,
-               budget_exhausted=False, nodes=0) -> LengthResult:
+    def result(lower, upper, witness, method, budget_exhausted=False,
+               nodes=0) -> LengthResult:
         return LengthResult(
             lower=lower,
             upper=upper,
             witness=witness,
             certificate=cert,
-            exact=lower == upper,
-            exhaustive=exhaustive,
             budget_exhausted=budget_exhausted,
             nodes_expanded=nodes,
             ms=(time.perf_counter() - t0) * 1000.0,
@@ -645,57 +656,31 @@ def xlength(
     if algorithm in ("best-first", "dual"):
         outcomes.append(best_first(u, moves, cap, heuristic, budget, t0))
     if algorithm in ("deepening", "dual"):
-        # best-first's proven path is the one reported, so deepening need
-        # only prove that none is shorter than its cost
-        proven = outcomes[0].cost if outcomes else None
-        deep_cap = cap if proven is None else proven - 1
+        # a path best-first proved is the one reported, so deepening need
+        # only prove that none is shorter
+        first = outcomes[0] if outcomes else None
+        proved = first and first.path and len(first.path) == first.lower
+        deep_cap = first.lower - 1 if proved else cap
         outcomes.append(deepening(u, moves, deep_cap, heuristic, budget, t0))
 
-    def checked(path, cost: int) -> Factorization:
-        # every engine path, proven or not, is re-multiplied before use
-        witness = Factorization.from_symbols(path)
-        product, count = verify_factorization(witness, params)
-        if product != u or count != cost:
-            raise ArithmeticError(f"search produced an invalid witness for {u!r}")
-        return witness
-
-    nodes = sum(o.nodes for o in outcomes)
-    searched = "dual" if algorithm == "dual" else "search"
-    found = [o for o in outcomes if o.cost is not None]
-    if found:
-        costs = {o.cost for o in found}
-        if len(costs) != 1:
-            raise ArithmeticError(
-                f"search engines disagree on {u!r}: "
-                f"{sorted(costs)} (this is a bug)"
-            )
-        best = found[0]
-        return result(
-            best.cost,
-            best.cost,
-            checked(best.path, best.cost),
-            searched,
-            exhaustive=True,
-            # In dual mode, flag when one engine ran out of budget even
-            # though the other completed: an engine that completes proves
-            # a lower end of at least the cost, one that runs out less.
-            budget_exhausted=any(o.lower_bound < best.cost for o in outcomes),
-            nodes=nodes,
+    proven = lower
+    for o in outcomes:
+        proven = max(proven, o.lower)
+        if o.path is not None and (
+            len(o.path) < upper or len(o.path) == o.lower == upper
+        ):
+            witness = Factorization.from_symbols(o.path)
+            upper = len(o.path)
+            if verify_factorization(witness, params) != (u, upper):
+                raise ArithmeticError(f"search produced an invalid witness for {u!r}")
+    if proven > upper:
+        raise ArithmeticError(
+            f"search proved a lower end {proven} above the witness's {upper} "
+            f"for {u!r} (this is a bug)"
         )
-
-    proven = max([lower] + [o.lower_bound for o in outcomes])
-    for outcome in outcomes:
-        # an unproven factorization found before the budget ran out still
-        # tightens the upper end of the bracket
-        if outcome.path is not None and len(outcome.path) < upper:
-            upper = len(outcome.path)
-            witness = checked(outcome.path, upper)
-    proven = min(proven, upper)
-    # An engine that completes without a path proves a lower end above
-    # its cap; when every one did and that reaches the witness, as under
-    # a ``max_cost`` below it, the search decided the length.
-    done = proven == upper and all(o.lower_bound > cap for o in outcomes)
+    searched = "dual" if algorithm == "dual" else "search"
     return result(
-        proven, upper, witness, searched if done else "budget", exhaustive=done,
-        budget_exhausted=not done, nodes=nodes,
+        proven, upper, witness, searched if proven == upper else "budget",
+        budget_exhausted=any(o.lower < upper for o in outcomes),
+        nodes=sum(o.nodes for o in outcomes),
     )

@@ -372,21 +372,20 @@ def quotient(base: int) -> Quotient | None:
 
 
 class Outcome(ValueRecord):
-    """What a search engine found: ``cost`` is the optimal cost, None when
-    not proven optimal; ``path`` the factorization, with cost None the
-    best found so far; ``lower_bound`` is proven even when no
-    factorization was found."""
+    """What a search engine proved: ``lower``, a lower end on the length,
+    proven also when no factorization was found; ``path``, the shortest
+    factorization found, or None; and the ``nodes`` it expanded. The path
+    is proven optimal exactly when it has ``lower`` symbols."""
 
-    __slots__ = ("cost", "path", "nodes", "lower_bound")
+    __slots__ = ("lower", "path", "nodes")
 
-    def __init__(self, cost, path, nodes, lower_bound):
-        _set(self, "cost", cost)
+    def __init__(self, lower, path, nodes):
+        _set(self, "lower", lower)
         _set(self, "path", path)
         _set(self, "nodes", nodes)
-        _set(self, "lower_bound", lower_bound)
 
     def _fields(self) -> tuple:
-        return self.cost, self.path, self.nodes, self.lower_bound
+        return self.lower, self.path, self.nodes
 
 
 _LETTER_MOVES = tuple(Move.of(letter, letter.word()) for letter in LETTERS)
@@ -822,7 +821,9 @@ def best_first(
     the budget runs out instead, the entry just popped was the least in
     the heap, so every factorization not yet found has at least its f
     symbols: f is a proven lower end, below the incumbent and at most
-    ``cap``, as nothing above the cap is pushed.
+    ``cap``, as nothing above the cap is pushed. It is returned as the
+    outcome's ``lower``, with the incumbent's path, if any, which proves
+    its own optimality only when it has f symbols (``Outcome``).
 
     The heap never runs dry with an incumbent. One is set before the
     loop when the root is an expansion, and the root's entry then has
@@ -842,13 +843,13 @@ def best_first(
     ``_rebuild`` walks from X back to the runs of u in at most g(X)
     steps: a real factorization of at most incumbent symbols. A proven
     incumbent is optimal, so the walk has exactly g(X) steps. When the
-    budget runs out, the walk is returned unproven and its own length is
+    budget runs out, the walk is returned as it is, and its own length is
     used. ``xlength`` re-multiplies every path and raises on a mismatch.
     """
     root = state_key(u)
     start_h = h(root)
     if start_h > cap:
-        return Outcome(None, None, 0, start_h)
+        return Outcome(start_h, None, 0)
     deadline = _deadline(budget, t0)
     goals, groups = moves.goals, moves.groups
     start = u.runs
@@ -867,7 +868,7 @@ def best_first(
     while heap:
         f, letters, number, runs, cost, key, done = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(best, start, last), nodes, incumbent)
+            return Outcome(incumbent, _rebuild(best, start, last), nodes)
         if cost > best[runs][0]:
             continue  # stale entry
         if not number:  # the state's own entry: its first expansion
@@ -903,11 +904,12 @@ def best_first(
                 heappush(heap, (over[0], 0, number, runs, cost, key, f))
     else:
         # Whole graph below the cap explored without reaching the target.
-        return Outcome(None, None, nodes, cap + 1)
-    # The budget ran out. An incumbent is still a valid witness, just not
-    # proven optimal, and no path is shorter than the f just popped.
+        return Outcome(cap + 1, None, nodes)
+    # The budget ran out. An incumbent is still a valid witness, proven
+    # optimal only if it has f symbols, as no path is shorter than the f
+    # just popped.
     partial = _rebuild(best, start, last) if incumbent is not None else None
-    return Outcome(None, partial, nodes, f)
+    return Outcome(f, partial, nodes)
 
 
 def _rebuild(parents: dict, start: Runs, last: tuple[Runs, Gen]) -> list[Gen]:
@@ -1011,11 +1013,11 @@ def deepening(
             if nodes > budget.max_nodes or (
                 deadline is not None and time.perf_counter() > deadline
             ):
-                return Outcome(None, None, nodes, bound)
+                return Outcome(bound, None, nodes)
             gen = goals.get(runs)
             if gen is not None:
                 path.append(gen)
-                return Outcome(len(path), path, nodes, len(path))
+                return Outcome(len(path), path, nodes)
             ncost = len(frames) + 1
             frames.append((runs, _children(groups, h, key, runs, ncost, bound, over)))
             runs = None
@@ -1033,4 +1035,4 @@ def deepening(
                     on_path.discard(parent)
                     del path[-1:]  # the move into parent; the root has none
         bound = int(over[0])
-    return Outcome(None, None, nodes, bound)
+    return Outcome(bound, None, nodes)

@@ -63,6 +63,17 @@ class TestXlen:
         assert report["budget_exhausted"] and not report["exact"]
         assert report["lower"] <= 126 <= report["upper"]
 
+    def test_budget_cut_search_that_reaches_the_witness_exits_0(self, capsys):
+        # best-first stops at its one node with f = 6, the witness's
+        # length: the search proved the length although its budget ran out
+        code, report = run_json(
+            capsys, "xlen", "--base", "2", "--jmin", "1", "--max-nodes", "1",
+            "a c^-1 a^-1 c^-1 b a",
+        )
+        assert code == 0
+        assert (report["lower"], report["upper"]) == (6, 6)
+        assert report["method"] == "search" and not report["budget_exhausted"]
+
     def test_paper_scale_budget_is_immediate(self, capsys):
         # the index-2 family at base 5 has 5^25 generators; listing the
         # first 500,000 of them before giving up once took 34 s

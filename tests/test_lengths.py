@@ -428,18 +428,16 @@ class TestXLength:
         with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
             xlength(W("c^3"), P2, mode="fast")
 
+    # exact and exhaustive are read from the bracket and the method, so
+    # the one inconsistent state left is a lower end above the upper
     @pytest.mark.parametrize(
-        "lower, upper, exact, message",
-        [
-            (3, 2, False, "lower bound exceeds upper bound"),
-            (2, 3, True, "exact flag inconsistent with bracket"),
-            (2, 2, False, "exact flag inconsistent with bracket"),
-        ],
-        ids=["lower-above-upper", "open-but-exact", "closed-but-not-exact"],
+        "lower, upper, message",
+        [(3, 2, "lower bound exceeds upper bound")],
+        ids=["lower-above-upper"],
     )
-    def test_result_refuses_an_inconsistent_bracket(self, lower, upper, exact, message):
+    def test_result_refuses_an_inconsistent_bracket(self, lower, upper, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            LengthResult(lower, upper, None, None, exact, False, False, 0, 0.0, "bracket")
+            LengthResult(lower, upper, None, None, False, 0, 0.0, "bracket")
 
     def test_identity(self):
         r = xlength(IDENTITY, P2, mode="exact")
@@ -469,21 +467,23 @@ class TestXLength:
     @pytest.mark.parametrize("cost", [None, 1])
     def test_invalid_engine_path_raises(self, monkeypatch, cost):
         # a one-symbol path that does not multiply back to the target, as a
-        # proven optimum (cost 1) or as an unproven budget path (cost None)
+        # proven optimum (cost 1: lower 1) or as an unproven budget path
+        # (cost None: lower 0)
         def fake_best_first(u, moves, cap, h, budget, t0):
-            return Outcome(cost, [Letter("a", 1)], 1, 1 if cost else 0)
+            return Outcome(cost or 0, [Letter("a", 1)], 1)
 
         monkeypatch.setattr(lengths, "best_first", fake_best_first)
         with pytest.raises(ArithmeticError, match="invalid witness"):
             xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact")
 
     def test_dual_engines_that_disagree_raise(self, monkeypatch):
-        # deepening proves a cost that best-first's does not match
+        # deepening proves a lower end above the path best-first proved
         def fake_deepening(u, moves, cap, h, budget, t0):
-            return Outcome(10**6, [Letter("a", 1)], 1, 10**6)
+            return Outcome(10**6, None, 1)
 
         monkeypatch.setattr(lengths, "deepening", fake_deepening)
-        with pytest.raises(ArithmeticError, match="^search engines disagree on "):
+        message = "^search proved a lower end 1000000 above "
+        with pytest.raises(ArithmeticError, match=message):
             xlength(W("c a c^-2 b a c^-1 b"), P2, mode="exact", algorithm="dual")
 
     def test_dual_catches_a_suboptimal_best_first_cost(self, monkeypatch):
@@ -495,10 +495,11 @@ class TestXLength:
 
         def fake_best_first(u, moves, cap, h, budget, t0):
             path = [Letter("b", 1)] * 2 + [Letter("a", 1)] * 4
-            return Outcome(6, path, 1, 6)
+            return Outcome(6, path, 1)
 
         monkeypatch.setattr(lengths, "best_first", fake_best_first)
-        with pytest.raises(ArithmeticError, match=r"^search engines disagree on .*\[5, 6\]"):
+        message = "^search proved a lower end 6 above the witness's 5 "
+        with pytest.raises(ArithmeticError, match=message):
             xlength(u, P2, mode="exact", algorithm="dual")
 
     @staticmethod
@@ -521,7 +522,7 @@ class TestXLength:
         moves = build_moves(u, upper, P2, SearchBudget())
         h = make_heuristic(P2, moves.families)
         check = deepening(u, moves, first.lower - 1, h, SearchBudget(), 0.0)
-        assert check.cost is None and check.lower_bound >= first.lower
+        assert check.path is None and check.lower >= first.lower
         assert dual.nodes_expanded == first.nodes_expanded + check.nodes
         return check.nodes
 
@@ -654,7 +655,7 @@ class TestXLength:
                 u, wide_moves, u.s_length, h, budget, _time.perf_counter()
             )
             assert len(wide_moves.moves) > 31  # extra families really enabled
-            assert outcome.cost == normal.lower
+            assert len(outcome.path) == outcome.lower == normal.lower
 
 
 class TestCancellationCount:

@@ -41,8 +41,8 @@ FIELDS = {
     Certificate: ("coeffs", "direction"),
     Factorization: ("items",),
     LengthResult: (
-        "lower", "upper", "witness", "certificate", "exact", "exhaustive",
-        "budget_exhausted", "nodes_expanded", "ms", "method",
+        "lower", "upper", "witness", "certificate", "budget_exhausted",
+        "nodes_expanded", "ms", "method",
     ),
     ExpScalar: ("mantissa", "exponent"),
     ExpSum: ("terms",),
@@ -106,6 +106,21 @@ def test_samples_are_what_they_claim():
     assert any(type(gen) is BigGen for gen, _ in sample(Factorization, 0).items)
     assert [root.exact for root in samples()[NormRoot]] == [False, True]
     assert sample(ExpScalar, 0).exponent != 0 and len(sample(ExpSum, 0).terms) == 2
+
+
+def test_length_result_derives_exact_and_exhaustive():
+    # both are read from the stored fields, so they cannot disagree with
+    # the bracket or the method, and cannot be set
+    searched, bracket = samples()[LengthResult]
+    for name in ("exact", "exhaustive"):
+        assert name not in LengthResult.__slots__
+        assert isinstance(getattr(LengthResult, name), property)
+        with pytest.raises(AttributeError):
+            setattr(searched, name, False)
+    assert (searched.method, searched.exact, searched.exhaustive) == (
+        "search", True, True)
+    assert (bracket.method, bracket.exact, bracket.exhaustive) == (
+        "bracket", False, False)
 
 
 @pytest.mark.parametrize("record, i", CASES)

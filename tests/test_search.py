@@ -15,7 +15,10 @@ best-first's partial expansion, which pushes a node back instead of
 its children, against the full-expansion loop it replaced, on fixed
 targets and on random words, deepening against a plain recursive one."""
 
+import contextlib
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -50,7 +53,7 @@ from wordweight.lengths import (
     verify_factorization,
     xlength,
 )
-from wordweight import search
+from wordweight import cli, search
 from wordweight.search import (
     MoveSet,
     Outcome,
@@ -69,8 +72,8 @@ P2 = GenSetParams(base=2, jmin=1)
 def untimed(r: LengthResult) -> LengthResult:
     """The result with its time set to 0, so that two runs compare equal."""
     return LengthResult(
-        r.lower, r.upper, r.witness, r.certificate, r.exact, r.exhaustive,
-        r.budget_exhausted, r.nodes_expanded, 0.0, r.method,
+        r.lower, r.upper, r.witness, r.certificate, r.budget_exhausted,
+        r.nodes_expanded, 0.0, r.method,
     )
 
 
@@ -796,11 +799,12 @@ class TestSearchBudget:
 
 
 @lru_cache(maxsize=None)
-def ball(radius: int) -> dict[Word, int]:
+def ball(radius: int, base: int = 2) -> dict[Word, int]:
     """Blind breadth-first distances from the identity over the letters and
-    the base-2 index-1 family, up to ``radius``: no heuristic, no
+    the index-1 family of the base, up to ``radius``: no heuristic, no
     certificates."""
-    expansions = [expand_generator(mv.gen, P2) for mv in move_set(2, 0)[1].moves]
+    params, moves = move_set(base, 0)
+    expansions = [expand_generator(mv.gen, params) for mv in moves.moves]
     dist = {IDENTITY: 0}
     layer = [IDENTITY]
     for d in range(1, radius + 1):
@@ -815,11 +819,18 @@ def ball(radius: int) -> dict[Word, int]:
     return dist
 
 
-def blind_length(u: Word) -> int:
-    """Exact length when it is at most 5, else 6: an optimal factorization
-    splits into a prefix of at most 2 moves and a rest of at most 3."""
-    near, far = ball(2), ball(3)
-    best = 6
+#: blind_length's reach at each base: the 131 moves of base 3 keep its
+#: rest to 2 moves, where base 2's 31 allow 3
+BLIND_REACH = {2: 6, 3: 5}
+
+
+def blind_length(u: Word, base: int = 2) -> int:
+    """Exact length over the letters and the index-1 family of the base
+    when it is below ``BLIND_REACH[base]``, else that reach: an optimal
+    factorization splits into a prefix of at most 2 moves and a rest of
+    at most reach - 3."""
+    best = BLIND_REACH[base]
+    near, far = ball(2, base), ball(best - 3, base)
     for x, dx in near.items():
         dy = far.get(~x * u)
         if dy is not None and dx + dy < best:
@@ -873,14 +884,14 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift):
     move's expansion to its generator. The reference for
     ``search.best_first``, which reads the quotient only at expansion."""
     if u.is_identity():
-        return Outcome(0, [], 0, 0)
+        return Outcome(0, [], 0)
 
     def score(w: Word) -> int:
         return max(h(state_key(w)), lift(w))
 
     start_h = score(u)
     if start_h > cap:
-        return Outcome(None, None, 0, start_h)
+        return Outcome(start_h, None, 0)
     best_g = {u: 0}
     parents = {}
     heap = [(start_h, u.s_length, u.runs, 0, u)]
@@ -891,14 +902,14 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift):
     while heap:
         f, _, _, cost, state = heappop(heap)
         if incumbent is not None and f >= incumbent:
-            return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
+            return Outcome(incumbent, _rebuild(parents, u, last), nodes)
         if cost > best_g.get(state, -1):
             continue  # stale entry
         nodes += 1
         if nodes > budget.max_nodes:
             # every path not yet found has a state in the heap at f <= its cost
             partial = _rebuild(parents, u, last) if incumbent is not None else None
-            return Outcome(None, partial, nodes, f)
+            return Outcome(f, partial, nodes)
         ncost = cost + 1
         for move in moves.moves:
             limit = cap if incumbent is None else min(cap, incumbent - 1)
@@ -912,8 +923,8 @@ def full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift):
                 if nxt in goal_of:
                     incumbent, last = ncost + 1, (nxt, goal_of[nxt])
     if incumbent is not None:
-        return Outcome(incumbent, _rebuild(parents, u, last), nodes, incumbent)
-    return Outcome(None, None, nodes, cap + 1)
+        return Outcome(incumbent, _rebuild(parents, u, last), nodes)
+    return Outcome(cap + 1, None, nodes)
 
 
 @lru_cache(maxsize=None)
@@ -1016,7 +1027,7 @@ def full_scan_deepening(u, moves, cap, h, budget, goal_of):
     state in ``goal_of``, as in ``full_expansion_best_first``. The
     reference for ``search.deepening``."""
     if u.is_identity():
-        return Outcome(0, [], 0, 0)
+        return Outcome(0, [], 0)
     nodes = 0
     bound = h(state_key(u))
     while bound <= cap:
@@ -1047,13 +1058,13 @@ def full_scan_deepening(u, moves, cap, h, budget, goal_of):
 
         try:
             if visit(u, 0):
-                return Outcome(len(path), path, nodes, len(path))
+                return Outcome(len(path), path, nodes)
         except BudgetExhausted:
-            return Outcome(None, None, nodes, bound)
+            return Outcome(bound, None, nodes)
         if overshoot == float("inf"):
-            return Outcome(None, None, nodes, cap + 1)
+            return Outcome(cap + 1, None, nodes)
         bound = int(overshoot)
-    return Outcome(None, None, nodes, bound)
+    return Outcome(bound, None, nodes)
 
 
 def counting_skips(monkeypatch) -> list[int]:
@@ -1240,10 +1251,10 @@ class TestPartialExpansion:
                 budget = SearchBudget(max_nodes=5000)
                 expected = full_expansion_best_first(u, moves, cap, h, budget, goal_of, lift)
                 got = best_first(u, moves, cap, h, budget, 0.0)
-                assert got == expected and got.lower_bound > cap, (str(u), cap)
+                assert got == expected and got.lower > cap, (str(u), cap)
                 expected = full_scan_deepening(u, moves, cap, h, budget, goal_of)
                 got = deepening(u, moves, cap, h, budget, 0.0)
-                assert got == expected and got.lower_bound > cap, (str(u), cap)
+                assert got == expected and got.lower > cap, (str(u), cap)
 
     # base-3 targets with a state reached from two parents at one cost:
     # keying a pushed-back node by its runs instead of its first
@@ -1311,7 +1322,7 @@ class TestPartialExpansion:
         expected = full_expansion_best_first(
             u, moves, u.s_length, h, budget, goal_of, quotient_distance(2)
         )
-        assert got == expected and (got.cost, got.nodes) == (12, 155)
+        assert got == expected and (proven_cost(got), got.nodes) == (12, 155)
         assert stale == [Word.parse("a^-1 c^3 a^3 b^3 c^-2")]
 
     @pytest.mark.parametrize("spec, budgets, extra", CASES, ids=IDS)
@@ -1351,15 +1362,23 @@ class TestPartialExpansion:
             assert deepening(u, moves, cap, h, budget, 0.0) == expected, str(u)
 
 
+def proven_cost(outcome: Outcome) -> int | None:
+    """The length of the outcome's path when it is proven optimal, as it
+    has ``lower`` symbols, else None."""
+    path = outcome.path
+    return len(path) if path is not None and len(path) == outcome.lower else None
+
+
 def checked_cost(outcome: Outcome, u: Word, params: GenSetParams) -> int | None:
-    """The outcome's cost, after its path multiplies back to u with
+    """The outcome's proven cost, after its path multiplies back to u with
     exactly that many symbols."""
-    if outcome.cost is not None:
+    cost = proven_cost(outcome)
+    if cost is not None:
         product, count = verify_factorization(
             Factorization.from_symbols(outcome.path), params
         )
-        assert (product, count) == (u, outcome.cost), str(u)
-    return outcome.cost
+        assert (product, count) == (u, cost), str(u)
+    return cost
 
 
 class TestEngines:
@@ -1395,26 +1414,51 @@ class TestEngines:
                 assert min(cost, reach) == oracle, str(u)
             # a pass bound cut short by the budget is still a lower end
             cut = deepening(u, moves, cap, h, small, 0.0)
-            if cut.cost is None and cost is not None:
-                assert cut.lower_bound <= cost, str(u)
+            if proven_cost(cut) is None and cost is not None:
+                assert cut.lower <= cost, str(u)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(engine_targets()), st.integers(1, 30))
-    @example(Word.parse("a^4 b^5"), 3)  # 10 nodes to prove 4
-    def test_budgeted_bracket_holds_the_length(self, u, max_nodes):
-        # best-first cut short by its node budget still brackets the
-        # length: the lower end is the f it popped last, the upper end its
-        # incumbent's path or the cap
-        params, moves = move_set(2, 0)
-        h = make_heuristic(params, moves.families)
-        cap = xlength(u, params, mode="bracket").upper
-        out = best_first(u, moves, cap, h, SearchBudget(max_nodes=max_nodes), 0.0)
-        upper = cap if out.path is None else len(out.path)
-        length = blind_length(u)  # the length, when below 6
-        if length < 6:
-            assert out.lower_bound <= length <= upper, str(u)
+    @given(
+        st.sampled_from(
+            [(2, u) for u in engine_targets()] + [(3, u) for u in base3_targets()]
+        ),
+        st.sampled_from(["best-first", "deepening", "dual"]),
+        st.integers(1, 100),
+        st.booleans(),
+    )
+    @example((2, Word.parse("a^4 b^5")), "best-first", 3, False)  # 10 nodes to prove 4
+    # best-first's f at the budget reaches the witness's 6: decided
+    @example((2, Word.parse("a c^-1 a^-1 c^-1 b a")), "best-first", 1, False)
+    def test_budgeted_bracket_holds_the_length(self, target, algorithm, max_nodes, below):
+        # any engine cut short by its node budget, or capped below the
+        # witness by max_cost, still brackets the length, and its labels
+        # follow from the bracket: a search whose lower end reaches the
+        # witness decided the length, and the CLI exits 3 exactly when an
+        # engine stopped below the witness
+        base, u = target
+        params = GenSetParams(base=base, jmin=1)
+        upper = xlength(u, params, mode="bracket").upper
+        max_cost = max(upper - 1, 0) if below else None
+        budget = SearchBudget(max_nodes=max_nodes, max_cost=max_cost)
+        r = xlength(u, params, budget, algorithm=algorithm)
+        length, reach = blind_length(u, base), BLIND_REACH[base]
+        if length < reach:
+            assert r.lower <= length <= r.upper, str(u)
         else:
-            assert upper >= 6, str(u)
+            assert r.upper >= reach, str(u)
+        if r.method != "collapse":  # the engines ran, or their moves were refused
+            assert r.exhaustive == r.exact == (r.method in ("search", "dual")), str(u)
+        if r.exact and algorithm != "dual":
+            assert not r.budget_exhausted, str(u)
+        if max_cost is None:
+            argv = ["xlen", str(u), "--base", str(base), "--jmin", "1",
+                    "--max-nodes", str(max_nodes), "--algorithm", algorithm]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(argv)
+            report = json.loads(out.getvalue())
+            assert (report["lower"], report["upper"], report["method"]) == (
+                r.lower, r.upper, r.method)
+            assert code == (3 if r.budget_exhausted else 0), str(u)
 
     def test_paths_deeper_than_the_recursion_limit(self):
         # every optimal path has 1202 steps; deepening recursed once per
@@ -1475,7 +1519,7 @@ class TestEngines:
         # at every node, which counting its reads shows however fast a
         # node is; the overrun is then at most one node.
         out, reads, overrun_ms = self.run_to_deadline(deepening, monkeypatch)
-        assert out.cost is None and reads == out.nodes > 0
+        assert proven_cost(out) is None and reads == out.nodes > 0
         assert overrun_ms < 100  # one node takes at most about 1 ms
 
     def test_best_first_deadline_on_index2_moves(self, monkeypatch):
@@ -1491,5 +1535,5 @@ class TestEngines:
 
         monkeypatch.setattr(search, "_children", counted)
         out, reads, overrun_ms = self.run_to_deadline(best_first, monkeypatch)
-        assert out.cost is None and reads == len(scans) + 1 and out.nodes > 0
+        assert proven_cost(out) is None and reads == len(scans) + 1 and out.nodes > 0
         assert overrun_ms < 100
