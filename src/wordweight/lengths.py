@@ -588,23 +588,26 @@ def xlength(
     otherwise); "bracket" reports certificate-lower/witness-upper without
     searching; "exact" additionally runs exhaustive search when the
     bracket does not already collapse. ``algorithm`` picks the search
-    engine: best-first, deepening, or dual. Dual runs best-first, then
-    deepening, which does not share best-first's quotient bound: up to
-    c - 1 when best-first proved a path of c symbols, so that its passes
-    prove on their own that nothing shorter exists, else up to the full
-    cap.
+    engines, run in turn: best-first, deepening, or dual (best-first,
+    then deepening, which does not share best-first's quotient bound).
 
-    One rule turns what the engines proved (``Outcome``) into the
-    result, taking their outcomes in order. A path replaces the witness
-    when it is shorter, or as long and proven optimal; every such path
-    is re-multiplied first. The lower end is the largest of the
-    certificate's and the outcomes' ``lower``, and one above the
-    witness raises ArithmeticError. The method is search or dual when
-    the lower end reaches the witness, else budget, and
-    ``budget_exhausted`` is set when some engine's ``lower`` stays
+    Search only tightens the bracket. After each engine (``Outcome``) its
+    path replaces the witness only when it has fewer symbols, and is
+    re-multiplied then; a path that only ties the witness is dropped.
+    The lower end is the largest of the certificate's and the engines'
+    ``lower``, and the next engine is capped at one below the witness.
+    So dual's deepening proves on its own that nothing beats the witness
+    in hand: up to c - 1 once best-first has proven c. Under a
+    ``max_cost`` cap below the witness that cap stays, so when best-first
+    completes below it without a path, deepening repeats that proof to
+    the same cap as its independent cross-check.
+
+    A lower end above the witness raises ArithmeticError. The method is
+    search or dual when the lower end reaches the witness, else budget,
+    and ``budget_exhausted`` is set when some engine's ``lower`` stays
     below the witness: a search cut short whose lower end still reaches
-    the witness has decided the length, and a dual cross-check cut
-    short flags the exact result.
+    the witness has decided the length, and a dual cross-check cut short
+    flags the exact result.
     """
     t0 = time.perf_counter()
     if mode not in ("family", "bracket", "exact"):
@@ -652,35 +655,27 @@ def xlength(
 
     heuristic = make_heuristic(params, moves.families)
     cap = upper if budget.max_cost is None else min(upper, budget.max_cost)
-    outcomes = []
-    if algorithm in ("best-first", "dual"):
-        outcomes.append(best_first(u, moves, cap, heuristic, budget, t0))
-    if algorithm in ("deepening", "dual"):
-        # a path best-first proved is the one reported, so deepening need
-        # only prove that none is shorter
-        first = outcomes[0] if outcomes else None
-        proved = first and first.path and len(first.path) == first.lower
-        deep_cap = first.lower - 1 if proved else cap
-        outcomes.append(deepening(u, moves, deep_cap, heuristic, budget, t0))
-
-    proven = lower
-    for o in outcomes:
-        proven = max(proven, o.lower)
-        if o.path is not None and (
-            len(o.path) < upper or len(o.path) == o.lower == upper
-        ):
+    # looked up at call time, so that a patched engine is the one run
+    engines = {"best-first": (best_first,), "deepening": (deepening,),
+               "dual": (best_first, deepening)}[algorithm]
+    least, nodes = upper, 0  # the least engine lower end, the nodes spent
+    for engine in engines:
+        o = engine(u, moves, cap, heuristic, budget, t0)
+        if o.path is not None and len(o.path) < upper:
             witness = Factorization.from_symbols(o.path)
             upper = len(o.path)
             if verify_factorization(witness, params) != (u, upper):
                 raise ArithmeticError(f"search produced an invalid witness for {u!r}")
-    if proven > upper:
+        lower, least = max(lower, o.lower), min(least, o.lower)
+        nodes += o.nodes
+        cap = min(cap, upper - 1)
+    if lower > upper:
         raise ArithmeticError(
-            f"search proved a lower end {proven} above the witness's {upper} "
+            f"search proved a lower end {lower} above the witness's {upper} "
             f"for {u!r} (this is a bug)"
         )
     searched = "dual" if algorithm == "dual" else "search"
     return result(
-        proven, upper, witness, searched if proven == upper else "budget",
-        budget_exhausted=any(o.lower < upper for o in outcomes),
-        nodes=sum(o.nodes for o in outcomes),
+        lower, upper, witness, searched if lower == upper else "budget",
+        budget_exhausted=least < upper, nodes=nodes,
     )

@@ -34,8 +34,9 @@ reaches the top of the heap and h is below both the letter count and
 the diameter of G, and an entry it raises is pushed back at its new f
 (lazy A*). Deepening keeps the relaxation alone, so in the dual
 algorithm (``lengths.xlength``) best-first finds and proves the optimum
-c, its path is re-multiplied, and deepening, which does not share the
-bound, proves on its own that nothing shorter exists: its passes up to
+c, its path replacing the witness only when it is shorter (and then
+re-multiplied), and deepening, which does not share the bound, proves
+on its own that nothing beats the witness in hand: its passes up to
 c - 1 complete without a path.
 
 The goal test is a lookup, not a move: a state is one move from the
@@ -844,7 +845,8 @@ def best_first(
     steps: a real factorization of at most incumbent symbols. A proven
     incumbent is optimal, so the walk has exactly g(X) steps. When the
     budget runs out, the walk is returned as it is, and its own length is
-    used. ``xlength`` re-multiplies every path and raises on a mismatch.
+    used. ``xlength`` reports a path only when it is shorter than the
+    witness in hand, and re-multiplies it then, raising on a mismatch.
     """
     root = state_key(u)
     start_h = h(root)

@@ -464,6 +464,41 @@ class TestXLength:
         assert (r.lower, r.upper, r.method) == (upper, upper, method)
         assert r.exhaustive and not r.budget_exhausted
 
+    @pytest.mark.parametrize("algorithm", ["best-first", "deepening", "dual"])
+    def test_a_path_that_ties_the_witness_is_not_taken(self, monkeypatch, algorithm):
+        # every engine proves 4, the bracket witness's length, so the
+        # witness stays and no path is re-multiplied; deepening alone
+        # ends at the path b^-1 *2, c, x(c^-1, 1), which only ties it
+        calls = []
+
+        def counting_verify(f, params):
+            calls.append(f)
+            return verify_factorization(f, params)
+
+        monkeypatch.setattr(lengths, "verify_factorization", counting_verify)
+        r = xlength(W("c a^4 b^4"), P2, algorithm=algorithm)
+        assert (r.lower, r.upper) == (4, 4)
+        assert r.witness.symbol_strings() == block_witness(1, 1, P2).symbol_strings()
+        assert calls == []
+
+    def test_dual_deepening_searches_below_the_witness(self, monkeypatch):
+        # best-first, cut short by the node budget, reaches f = 10 with no
+        # path shorter than the 10 letters, so deepening is capped at 9;
+        # h(u) = 10 is above that, and it proves the letters optimal with
+        # no node (capped at 10, it spent 4)
+        caps = []
+
+        def spy_deepening(u, moves, cap, h, budget, t0):
+            caps.append(cap)
+            return deepening(u, moves, cap, h, budget, t0)
+
+        monkeypatch.setattr(lengths, "deepening", spy_deepening)
+        r = xlength(W("b^-2 a b c a^-3 c^2"), P2, SearchBudget(max_nodes=3),
+                    algorithm="dual")
+        assert caps == [9]
+        assert (r.lower, r.upper, r.method, r.nodes_expanded) == (10, 10, "dual", 4)
+        assert not r.budget_exhausted
+
     @pytest.mark.parametrize("cost", [None, 1])
     def test_invalid_engine_path_raises(self, monkeypatch, cost):
         # a one-symbol path that does not multiply back to the target, as a

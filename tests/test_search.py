@@ -1429,18 +1429,24 @@ class TestEngines:
     @example((2, Word.parse("a^4 b^5")), "best-first", 3, False)  # 10 nodes to prove 4
     # best-first's f at the budget reaches the witness's 6: decided
     @example((2, Word.parse("a c^-1 a^-1 c^-1 b a")), "best-first", 1, False)
+    # deepening's path b^-1 *2, c, x(c^-1, 1) only ties the bracket's witness
+    @example((2, Word.parse("c a^4 b^4")), "deepening", 100, False)
     def test_budgeted_bracket_holds_the_length(self, target, algorithm, max_nodes, below):
         # any engine cut short by its node budget, or capped below the
         # witness by max_cost, still brackets the length, and its labels
         # follow from the bracket: a search whose lower end reaches the
         # witness decided the length, and the CLI exits 3 exactly when an
-        # engine stopped below the witness
+        # engine stopped below the witness. Search only shortens the
+        # witness: the bracket's stays unless a path has fewer symbols
         base, u = target
         params = GenSetParams(base=base, jmin=1)
-        upper = xlength(u, params, mode="bracket").upper
+        bracket = xlength(u, params, mode="bracket")
+        upper = bracket.upper
         max_cost = max(upper - 1, 0) if below else None
         budget = SearchBudget(max_nodes=max_nodes, max_cost=max_cost)
         r = xlength(u, params, budget, algorithm=algorithm)
+        assert r.witness == bracket.witness or r.witness.symbol_count < upper, str(u)
+        assert verify_factorization(r.witness, params) == (u, r.upper), str(u)
         length, reach = blind_length(u, base), BLIND_REACH[base]
         if length < reach:
             assert r.lower <= length <= r.upper, str(u)
